@@ -19,12 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import forge, theorems
-from .dependency import (
-    component_index,
-    dependency_digraph,
-    good_edges,
-    goodness,
-)
+from .dependency import Analysis, good_edges
 from .digraph import Digraph, Weighting
 from .errors import (
     ConsistencyError,
@@ -201,9 +196,8 @@ def cmd_delta(args) -> Report:
     d, w, source = _load_instance(args.instance)
     report = Report("delta", _config(args, instance=source))
     start = time.perf_counter()
-    dd = dependency_digraph(d)
-    ci = component_index(d, dd)
-    gr = goodness(d, ci)
+    analysis = Analysis(d)
+    dd, ci = analysis.dd, analysis.ci
     detail = {
         "missing-edges": [edge_pair(e) for e in dd.edges],
         "delta-arcs": [(edge_pair(a), edge_pair(b)) for a, b in dd.arcs],
@@ -214,7 +208,7 @@ def cmd_delta(args) -> Report:
         "k-sets": [list(k) for k in ci.k_sets],
         "min-out-degree": dd.min_out_degree,
         "min-in-degree": dd.min_in_degree,
-        "good-digraph": gr.is_good,
+        "good-digraph": analysis.goodness.is_good,
     }
     report.add(
         InstanceRecord(

@@ -9,10 +9,12 @@ as vertices and one arc per losing pair (digons allowed there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .digraph import Digraph, VertexSet
-from .stars import Edge, edge, edge_pair
+from .errors import NotDisjointStarsError
+from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
 
 
 @dataclass(frozen=True)
@@ -56,22 +58,23 @@ def loses_to(d: Digraph, e1, e2) -> LosingWitness | None:
 
 @dataclass(frozen=True)
 class DependencyDigraph:
-    """Losing relation over the missing edges of one digraph."""
+    """Losing relation over the missing edges of one digraph.
+
+    succ and pred map every missing edge to the edges it loses to and the
+    edges that lose to it, in arc order.
+    """
 
     edges: tuple[Edge, ...]
     arcs: tuple[tuple[Edge, Edge], ...]
     witnesses: dict
-
-    def index(self, e) -> int:
-        return self.edges.index(frozenset(e))
+    succ: dict
+    pred: dict
 
     def out_degree(self, e) -> int:
-        e = frozenset(e)
-        return sum(1 for a, _ in self.arcs if a == e)
+        return len(self.succ[frozenset(e)])
 
     def in_degree(self, e) -> int:
-        e = frozenset(e)
-        return sum(1 for _, b in self.arcs if b == e)
+        return len(self.pred[frozenset(e)])
 
     @property
     def min_out_degree(self) -> int | None:
@@ -93,18 +96,15 @@ class DependencyDigraph:
         return min(self.min_out_degree, self.min_in_degree)
 
     def successors(self, e) -> tuple[Edge, ...]:
-        e = frozenset(e)
-        return tuple(b for a, b in self.arcs if a == e)
-
-    def predecessors(self, e) -> tuple[Edge, ...]:
-        e = frozenset(e)
-        return tuple(a for a, b in self.arcs if b == e)
+        return self.succ[frozenset(e)]
 
 
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
     edges = tuple(edge(u, v) for u, v in d.missing_pairs())
     arcs = []
     witnesses = {}
+    succ: dict[Edge, list[Edge]] = {e: [] for e in edges}
+    pred: dict[Edge, list[Edge]] = {e: [] for e in edges}
     for e1 in edges:
         for e2 in edges:
             if e1 == e2:
@@ -113,33 +113,44 @@ def dependency_digraph(d: Digraph) -> DependencyDigraph:
             if w is not None:
                 arcs.append((e1, e2))
                 witnesses[(e1, e2)] = w
-    return DependencyDigraph(edges, tuple(arcs), witnesses)
+                succ[e1].append(e2)
+                pred[e2].append(e1)
+    return DependencyDigraph(
+        edges,
+        tuple(arcs),
+        witnesses,
+        {e: tuple(s) for e, s in succ.items()},
+        {e: tuple(p) for e, p in pred.items()},
+    )
 
 
-def good_edges(d: Digraph, dd: DependencyDigraph | None = None) -> tuple[Edge, ...]:
+def good_edges(d: Digraph, dd: DependencyDigraph) -> tuple[Edge, ...]:
     """Missing edges no edge loses to (in-degree 0 in the dependency digraph)."""
-    if dd is None:
-        dd = dependency_digraph(d)
     return tuple(e for e in dd.edges if dd.in_degree(e) == 0)
 
 
-def _weak_components(dd: DependencyDigraph) -> tuple[tuple[Edge, ...], ...]:
-    parent = {e: e for e in dd.edges}
+def _groups(items: Sequence, links) -> list[list]:
+    """Connected groups of items joined by links (union-find), in item order."""
+    parent = {x: x for x in items}
 
     def find(x):
-        while parent[x] is not x:
+        while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for a, b in dd.arcs:
+    for a, b in links:
         ra, rb = find(a), find(b)
-        if ra is not rb:
+        if ra != rb:
             parent[ra] = rb
-    groups: dict[Edge, list[Edge]] = {}
-    for e in dd.edges:
-        groups.setdefault(find(e), []).append(e)
-    comps = [tuple(sorted(g, key=edge_pair)) for g in groups.values()]
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
+def _weak_components(dd: DependencyDigraph) -> tuple[tuple[Edge, ...], ...]:
+    comps = [tuple(sorted(g, key=edge_pair)) for g in _groups(dd.edges, dd.arcs)]
     comps.sort(key=lambda c: edge_pair(c[0]))
     return tuple(comps)
 
@@ -221,87 +232,55 @@ class ComponentIndex:
 
     def component_is_path(self, ci: int) -> bool:
         """True when weak component ci is a directed path (isolated edge included)."""
-        comp = set(self.components[ci])
-        outs = {e: [b for a, b in self.dd.arcs if a == e] for e in comp}
-        ins = {e: [a for a, b in self.dd.arcs if b == e] for e in comp}
-        if any(len(outs[e]) > 1 or len(ins[e]) > 1 for e in comp):
+        comp = self.components[ci]
+        succ, pred = self.dd.succ, self.dd.pred
+        if any(len(succ[e]) > 1 or len(pred[e]) > 1 for e in comp):
             return False
-        starts = [e for e in comp if not ins[e]]
-        if len(starts) != 1:
+        starts = sum(1 for e in comp if not pred[e])
+        if starts != 1:
             return False  # a 1-in/1-out weak component with no start is a cycle
-        # walk the chain and make sure it covers the component
-        seen = 0
-        e = starts[0]
-        while True:
-            seen += 1
-            nxt = outs[e]
-            if not nxt:
-                break
-            e = nxt[0]
-        return seen == len(comp)
+        # the chain from the start must cover the component
+        return len(self.path_chain(ci)) == len(comp)
 
     def path_chain(self, ci: int) -> tuple[Edge, ...]:
-        comp = set(self.components[ci])
-        ins = {e: [a for a, b in self.dd.arcs if b == e] for e in comp}
-        outs = {e: [b for a, b in self.dd.arcs if a == e] for e in comp}
-        (start,) = [e for e in comp if not ins[e]]
+        succ = self.dd.succ
+        (start,) = [e for e in self.components[ci] if not self.dd.pred[e]]
         chain = [start]
-        while outs[chain[-1]]:
-            chain.append(outs[chain[-1]][0])
+        while succ[chain[-1]]:
+            chain.append(succ[chain[-1]][0])
         return tuple(chain)
 
     def component_is_nontrivial_scc(self, ci: int) -> bool:
+        # arcs never leave a weak component, and a lone edge is trivial
         comp = self.components[ci]
         if len(comp) == 1:
-            e = comp[0]
-            return (e, e) in self.dd.witnesses  # impossible; a lone edge is trivial
-        comp_set = set(comp)
-
-        def succ(e):
-            return [b for a, b in self.dd.arcs if a == e and b in comp_set]
-
-        sccs = strongly_connected_components(comp, succ)
-        return len(sccs) == 1
+            return False
+        return len(strongly_connected_components(comp, self.dd.succ.__getitem__)) == 1
 
 
-def component_index(d: Digraph, dd: DependencyDigraph | None = None) -> ComponentIndex:
-    if dd is None:
-        dd = dependency_digraph(d)
+def component_index(d: Digraph) -> ComponentIndex:
+    """Weak components and K(xi) groups of the dependency digraph of d."""
+    dd = dependency_digraph(d)
     components = _weak_components(dd)
     k_sets = tuple(
         tuple(sorted({v for e in comp for v in e})) for comp in components
     )
     # interval graph: components adjacent when K-sets intersect
-    parent = list(range(len(components)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            if set(k_sets[i]) & set(k_sets[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(len(components)):
-        groups.setdefault(find(i), []).append(i)
-    xi_groups = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    m = len(components)
+    overlaps = [
+        (i, j) for i in range(m) for j in range(i + 1, m) if set(k_sets[i]) & set(k_sets[j])
+    ]
+    xi_groups = tuple(sorted(tuple(g) for g in _groups(range(m), overlaps)))
     k_of_xi = tuple(
         tuple(sorted({v for ci in g for v in k_sets[ci]})) for g in xi_groups
     )
     return ComponentIndex(dd, components, k_sets, xi_groups, k_of_xi)
 
 
-def j_of(d: Digraph, v: int, ci: ComponentIndex | None = None) -> VertexSet:
-    """J(v): {v} for whole vertices, else the K(xi) containing v."""
+def j_of(d: Digraph, v: int, ci: ComponentIndex) -> VertexSet:
+    """J(v): {v} for whole vertices, else the K(xi) of ci containing v."""
     if d.is_whole(v):
         return (v,)
-    if ci is None:
-        ci = component_index(d)
     xi = ci.xi_of_vertex(v)
     if xi is None:
         # non-whole vertex outside every K(xi): its missing edges never appear
@@ -317,16 +296,57 @@ class GoodnessReport:
     verdicts: tuple[tuple[VertexSet, bool], ...]  # (K(xi), is_interval)
 
 
-def goodness(d: Digraph, ci: ComponentIndex | None = None) -> GoodnessReport:
-    if ci is None:
-        ci = component_index(d)
+def goodness(d: Digraph, ci: ComponentIndex) -> GoodnessReport:
     verdicts = tuple((k, d.is_interval(k)) for k in ci.k_of_xi)
     return GoodnessReport(all(ok for _, ok in verdicts), verdicts)
 
 
 def is_good_digraph(d: Digraph) -> bool:
     """True when every K(xi) is an interval of d."""
-    return goodness(d).is_good
+    return goodness(d, component_index(d)).is_good
+
+
+class Analysis:
+    """The derived structures of one digraph, each computed at most once.
+
+    dec:      star decomposition of the missing graph, None when it is not
+              disjoint stars (dec_error then says why);
+    ci:       component index of the dependency digraph, whose Delta is dd;
+    goodness: the interval verdict of every K(xi).
+
+    Gates and procedures of one instance share one Analysis, so no
+    structure is rebuilt between them.
+    """
+
+    def __init__(self, d: Digraph) -> None:
+        self.d = d
+
+    @cached_property
+    def _decomposition(self) -> tuple[StarDecomposition | None, str | None]:
+        try:
+            return decompose(self.d), None
+        except NotDisjointStarsError as exc:
+            return None, str(exc)
+
+    @property
+    def dec(self) -> StarDecomposition | None:
+        return self._decomposition[0]
+
+    @property
+    def dec_error(self) -> str | None:
+        return self._decomposition[1]
+
+    @cached_property
+    def ci(self) -> ComponentIndex:
+        return component_index(self.d)
+
+    @property
+    def dd(self) -> DependencyDigraph:
+        return self.ci.dd
+
+    @cached_property
+    def goodness(self) -> GoodnessReport:
+        return goodness(self.d, self.ci)
 
 
 @dataclass(frozen=True)
@@ -339,14 +359,11 @@ class StrongDependencyReport:
 
 
 def strong_dependency_check(d: Digraph) -> StrongDependencyReport:
-    from .stars import decompose  # local import to avoid cycle at module load
-    from .errors import NotDisjointStarsError
-
-    try:
-        decompose(d)
-    except NotDisjointStarsError as exc:
-        return StrongDependencyReport(False, f"not disjoint stars: {exc}", is_good_digraph(d))
-    ci = component_index(d)
+    a = Analysis(d)
+    is_good = a.goodness.is_good
+    if a.dec is None:
+        return StrongDependencyReport(False, f"not disjoint stars: {a.dec_error}", is_good)
+    ci = a.ci
     bad = [
         ci.components[i]
         for i in range(len(ci.components))
@@ -357,6 +374,6 @@ def strong_dependency_check(d: Digraph) -> StrongDependencyReport:
         return StrongDependencyReport(
             False,
             f"{len(bad)} dependency component(s) not non-trivial strongly connected, e.g. {sample}",
-            is_good_digraph(d),
+            is_good,
         )
-    return StrongDependencyReport(True, "all dependency components non-trivial strongly connected", is_good_digraph(d))
+    return StrongDependencyReport(True, "all dependency components non-trivial strongly connected", is_good)

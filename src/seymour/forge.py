@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .digraph import Digraph
 from .stars import edge, edge_pair
-from .dependency import dependency_digraph
+from .dependency import Analysis, dependency_digraph
 from .errors import ConsistencyError, UnrealizableError
 from . import theorems
 
@@ -462,7 +462,7 @@ def filtered_search(
             continue
         if cand.fingerprint() in seen:
             continue
-        if gate(cand).applicable:
+        if gate(Analysis(cand)).applicable:
             seen.add(cand.fingerprint())
             kept.append(cand)
             if len(kept) >= count:

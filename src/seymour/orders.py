@@ -340,6 +340,8 @@ def sed(
     ws = resolve_weights(d, w)
     ana = analyze(d, order, ws)
     f = ana.feed
+    if ci is None:
+        ci = component_index(d)
     jset = set(j_of(d, f, ci))
     out_side = ws.total(v for v in ana.out_of_feed if v not in jset)
     good_side = ws.total(v for v in ana.good if v not in jset)

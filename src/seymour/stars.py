@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .digraph import Arc, Digraph, VertexSet
 from .errors import NotDisjointStarsError
@@ -134,29 +134,14 @@ def canonical_stars(dec: StarDecomposition) -> tuple[Star, ...]:
 
 @dataclass(frozen=True)
 class OrientationPlan:
-    """One arc per missing edge, with a provenance note per edge."""
+    """One arc per missing edge."""
 
     arcs: tuple[Arc, ...]
-    provenance: Mapping[Edge, str] = field(default_factory=dict)
-
-    def arc_for(self, e: Edge) -> Arc:
-        for a in self.arcs:
-            if frozenset(a) == e:
-                return a
-        raise KeyError(f"no arc planned for {sorted(e)}")
 
 
-def orient_toward_centers(
-    stars: tuple[Star, ...], note: str = "toward-center"
-) -> OrientationPlan:
+def orient_toward_centers(stars: tuple[Star, ...]) -> OrientationPlan:
     """Plan orienting every star edge from leaf to center."""
-    arcs = []
-    provenance = {}
-    for s in stars:
-        for a in s.leaves:
-            arcs.append((a, s.center))
-            provenance[edge(a, s.center)] = note
-    return OrientationPlan(tuple(arcs), provenance)
+    return OrientationPlan(tuple((a, s.center) for s in stars for a in s.leaves))
 
 
 def is_convenient(d: Digraph, a: int, b: int) -> bool:

@@ -1,11 +1,15 @@
 """SNP oracle, king tests, hypothesis gates, and witness procedures.
 
-Every procedure follows the same shape: check the hypotheses of its theorem
-(raising HypothesisFailedError when they do not hold), run the constructive
-argument, and return an SnpCertificate whose witnesses have been re-checked
-against the brute-force second-neighborhood oracle.  A witness that fails the
-oracle raises ConsistencyError: a bug in the construction must never produce
-a quietly wrong certificate.
+Gates take the Analysis of a digraph (its star decomposition, dependency
+digraph and component index, each built once): `_GATES[tid](Analysis(d))`,
+and check_hypotheses(d) runs every gate on one shared Analysis.  Every
+procedure follows the same shape: build one Analysis, check the hypotheses
+of its theorem with it (raising HypothesisFailedError when they do not
+hold), run the constructive argument on the same Analysis, and return an
+SnpCertificate whose witnesses have been re-checked against the brute-force
+second-neighborhood oracle.  A witness that fails the oracle raises
+ConsistencyError: a bug in the construction must never produce a quietly
+wrong certificate.
 """
 
 from dataclasses import dataclass
@@ -19,17 +23,15 @@ from .stars import (
     canonical_stars,
     center_assignments,
     convenient_orientations,
-    decompose,
     edge,
     edge_pair,
     orient_toward_centers,
 )
 from .dependency import (
+    Analysis,
     ComponentIndex,
     DependencyDigraph,
     component_index,
-    dependency_digraph,
-    goodness,
     j_of,
 )
 from .orders import (
@@ -43,7 +45,6 @@ from .errors import (
     ConsistencyError,
     GoodnessViolationError,
     HypothesisFailedError,
-    NotDisjointStarsError,
 )
 
 
@@ -123,7 +124,6 @@ class SnpCertificate:
 
 def _certify(
     d: Digraph,
-    theorem_id: str,
     gate: GateResult,
     witnesses: Sequence[int],
     trace: Sequence[str],
@@ -135,11 +135,11 @@ def _certify(
     for v in verdicts:
         if not v.ok:
             raise ConsistencyError(
-                f"{theorem_id}: witness {v.vertex} fails the oracle "
+                f"{gate.theorem_id}: witness {v.vertex} fails the oracle "
                 f"(d+={v.out_degree}, d++={v.second_degree})"
             )
     return SnpCertificate(
-        theorem_id=theorem_id,
+        theorem_id=gate.theorem_id,
         hypotheses=gate.checks,
         witnesses=tuple(witnesses),
         verdicts=verdicts,
@@ -151,37 +151,17 @@ def _certify(
 # ---------------------------------------------------------------------------
 # hypothesis gates
 
-THEOREM_IDS = (
-    "havet-thomasse",
-    "kings-stars",
-    "star+matching",
-    "matching-F-empty-no-sink",
-    "single-star",
-    "two-stars",
-    "two-stars-two",
-    "three-stars",
-    "three-stars-two",
-)
-
-
-def _decomposition(d: Digraph):
-    try:
-        return decompose(d), None
-    except NotDisjointStarsError as exc:
-        return None, str(exc)
-
-
-def _stars_check(dec, err) -> HypothesisCheck:
-    if dec is None:
-        return HypothesisCheck("missing graph is disjoint stars", False, err)
+def _stars_check(a: Analysis) -> HypothesisCheck:
+    if a.dec is None:
+        return HypothesisCheck("missing graph is disjoint stars", False, a.dec_error)
     return HypothesisCheck(
         "missing graph is disjoint stars",
         True,
-        f"{len(dec.stars)} star(s), {len(dec.matching)} single edge(s)",
+        f"{len(a.dec.stars)} star(s), {len(a.dec.matching)} single edge(s)",
     )
 
 
-def _delta_check(clause: str, value: int | None, required: bool = True) -> HypothesisCheck:
+def _delta_check(clause: str, value: int | None) -> HypothesisCheck:
     if value is None:
         return HypothesisCheck(clause, True, "no missing edges: vacuous")
     return HypothesisCheck(clause, value > 0, f"value {value}")
@@ -203,7 +183,12 @@ def _star_count_check(dec, count: int) -> HypothesisCheck:
     )
 
 
-def gate_havet_thomasse(d: Digraph) -> GateResult:
+def _gate(theorem_id: str, checks: Sequence[HypothesisCheck]) -> GateResult:
+    return GateResult(theorem_id, all(c.ok for c in checks), tuple(checks))
+
+
+def gate_havet_thomasse(a: Analysis) -> GateResult:
+    d = a.d
     checks = (
         HypothesisCheck(
             "digraph is a tournament",
@@ -211,38 +196,44 @@ def gate_havet_thomasse(d: Digraph) -> GateResult:
             f"{len(d.missing_pairs())} missing pair(s)",
         ),
     )
-    return GateResult("havet-thomasse", all(c.ok for c in checks), checks)
+    return _gate("havet-thomasse", checks)
 
 
-def gate_kings_stars(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err)]
-    if dec is None:
-        return GateResult("kings-stars", False, tuple(checks))
-    if dd is None:
-        dd = dependency_digraph(d)
-    kings_ok = False
-    evidence = "no missing edges: vacuous"
-    if dec.component_count() == 0:
-        kings_ok = True
+def _kings_reading(a: Analysis) -> tuple[Star, ...] | None:
+    """The first star reading whose centers induce an all-kings tournament.
+
+    Without missing edges the reading is empty; None when no reading works.
+    """
+    if a.dec.component_count() == 0:
+        return ()
+    for stars in center_assignments(a.dec):
+        sub, _ = a.d.induced([s.center for s in stars])
+        if sub.is_tournament() and all_kings(sub):
+            return stars
+    return None
+
+
+def gate_kings_stars(a: Analysis) -> GateResult:
+    checks = [_stars_check(a)]
+    if a.dec is None:
+        return _gate("kings-stars", checks)
+    reading = _kings_reading(a)
+    if reading is None:
+        evidence = "no center assignment induces an all-kings tournament"
+    elif reading:
+        evidence = f"centers {[s.center for s in reading]} induce an all-kings tournament"
     else:
-        for stars in center_assignments(dec):
-            centers = [s.center for s in stars]
-            sub, _ = d.induced(centers)
-            if sub.is_tournament() and all_kings(sub):
-                kings_ok = True
-                evidence = f"centers {centers} induce an all-kings tournament"
-                break
-        else:
-            evidence = "no center assignment induces an all-kings tournament"
-    checks.append(HypothesisCheck("centers induce an all-kings tournament", kings_ok, evidence))
-    checks.append(_delta_check("delta-_Delta > 0", dd.min_in_degree))
-    return GateResult("kings-stars", all(c.ok for c in checks), tuple(checks))
+        evidence = "no missing edges: vacuous"
+    checks.append(
+        HypothesisCheck("centers induce an all-kings tournament", reading is not None, evidence)
+    )
+    checks.append(_delta_check("delta-_Delta > 0", a.dd.min_in_degree))
+    return _gate("kings-stars", checks)
 
 
-def gate_star_matching(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err)]
+def gate_star_matching(a: Analysis) -> GateResult:
+    dec = a.dec
+    checks = [_stars_check(a)]
     shape_ok = dec is not None and len(dec.stars) <= 1
     checks.append(
         HypothesisCheck(
@@ -252,13 +243,11 @@ def gate_star_matching(d: Digraph, dd: DependencyDigraph | None = None) -> GateR
         )
     )
     if not shape_ok:
-        return GateResult("star+matching", False, tuple(checks))
-    if dd is None:
-        dd = dependency_digraph(d)
-    ci = component_index(d, dd)
+        return _gate("star+matching", checks)
+    dd = a.dd
     star_edges = set(dec.stars[0].edges) if dec.stars else set()
     bad = []
-    for comp in ci.components:
+    for comp in a.ci.components:
         if not star_edges & set(comp):
             continue
         bad.extend(
@@ -271,16 +260,16 @@ def gate_star_matching(d: Digraph, dd: DependencyDigraph | None = None) -> GateR
             f"degree-deficient edges {sorted(map(edge_pair, bad))}" if bad else "",
         )
     )
-    return GateResult("star+matching", all(c.ok for c in checks), tuple(checks))
+    return _gate("star+matching", checks)
 
 
 def _path_component_ids(ci: ComponentIndex) -> list[int]:
     return [i for i in range(len(ci.components)) if ci.component_is_path(i)]
 
 
-def gate_matching_f_empty(d: Digraph, ci: ComponentIndex | None = None) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err)]
+def gate_matching_f_empty(a: Analysis) -> GateResult:
+    dec = a.dec
+    checks = [_stars_check(a)]
     matching_ok = dec is not None and not dec.stars
     checks.append(
         HypothesisCheck(
@@ -290,10 +279,8 @@ def gate_matching_f_empty(d: Digraph, ci: ComponentIndex | None = None) -> GateR
         )
     )
     if not matching_ok:
-        return GateResult("matching-F-empty-no-sink", False, tuple(checks))
-    if ci is None:
-        ci = component_index(d)
-    paths = _path_component_ids(ci)
+        return _gate("matching-F-empty-no-sink", checks)
+    paths = _path_component_ids(a.ci)
     checks.append(
         HypothesisCheck(
             "F is empty (no path component in the dependency digraph)",
@@ -301,13 +288,13 @@ def gate_matching_f_empty(d: Digraph, ci: ComponentIndex | None = None) -> GateR
             f"{len(paths)} path component(s)" if paths else "all components are cycles",
         )
     )
-    checks.append(_no_sink_check(d))
-    return GateResult("matching-F-empty-no-sink", all(c.ok for c in checks), tuple(checks))
+    checks.append(_no_sink_check(a.d))
+    return _gate("matching-F-empty-no-sink", checks)
 
 
-def gate_single_star(d: Digraph) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err)]
+def gate_single_star(a: Analysis) -> GateResult:
+    dec = a.dec
+    checks = [_stars_check(a)]
     ok = dec is not None and dec.component_count() <= 1
     checks.append(
         HypothesisCheck(
@@ -316,80 +303,59 @@ def gate_single_star(d: Digraph) -> GateResult:
             "" if dec is None else f"{dec.component_count()} component(s)",
         )
     )
-    return GateResult("single-star", all(c.ok for c in checks), tuple(checks))
+    return _gate("single-star", checks)
 
 
-def gate_two_stars(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err), _star_count_check(dec, 2)]
-    if dec is None or dec.component_count() != 2:
-        return GateResult("two-stars", False, tuple(checks))
-    if dd is None:
-        dd = dependency_digraph(d)
-    checks.append(_delta_check("delta_Delta > 0", dd.min_degree))
-    return GateResult("two-stars", all(c.ok for c in checks), tuple(checks))
+def gate_two_stars(a: Analysis) -> GateResult:
+    checks = [_stars_check(a), _star_count_check(a.dec, 2)]
+    if checks[1].ok:
+        checks.append(_delta_check("delta_Delta > 0", a.dd.min_degree))
+    return _gate("two-stars", checks)
 
 
-def gate_two_stars_two(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err), _star_count_check(dec, 2)]
-    if dec is None or dec.component_count() != 2:
-        return GateResult("two-stars-two", False, tuple(checks))
-    if dd is None:
-        dd = dependency_digraph(d)
-    checks.append(_delta_check("delta+_Delta > 0", dd.min_out_degree))
-    checks.append(_delta_check("delta-_Delta > 0", dd.min_in_degree))
-    checks.append(_no_sink_check(d))
-    return GateResult("two-stars-two", all(c.ok for c in checks), tuple(checks))
+def gate_two_stars_two(a: Analysis) -> GateResult:
+    checks = [_stars_check(a), _star_count_check(a.dec, 2)]
+    if checks[1].ok:
+        checks.append(_delta_check("delta+_Delta > 0", a.dd.min_out_degree))
+        checks.append(_delta_check("delta-_Delta > 0", a.dd.min_in_degree))
+        checks.append(_no_sink_check(a.d))
+    return _gate("two-stars-two", checks)
 
 
-def _directed_triangle_roles(d: Digraph, dec: StarDecomposition) -> tuple[Star, Star, Star] | None:
-    """A (S_x, S_y, S_z) reading with x -> y -> z -> x, if one exists."""
-    for stars in center_assignments(dec):
-        s1, s2, s3 = sorted(stars, key=lambda s: s.center)
-        c1, c2, c3 = s1.center, s2.center, s3.center
-        if d.has_arc(c1, c2) and d.has_arc(c2, c3) and d.has_arc(c3, c1):
-            return (s1, s2, s3)
-        if d.has_arc(c1, c3) and d.has_arc(c3, c2) and d.has_arc(c2, c1):
-            return (s1, s3, s2)
-    return None
-
-
-def _gate_three_common(d: Digraph, theorem_id: str, dd: DependencyDigraph | None):
-    dec, err = _decomposition(d)
-    checks = [_stars_check(dec, err), _star_count_check(dec, 3)]
-    if dec is None or dec.component_count() != 3:
-        return None, None, checks
-    roles = _directed_triangle_roles(d, dec)
-    checks.append(
-        HypothesisCheck(
-            "centers form a directed triangle",
-            roles is not None,
-            "" if roles else "every center reading induces a transitive triangle",
+def _gate_three_common(a: Analysis) -> list[HypothesisCheck]:
+    """Shape checks of the three-stars gates; the triangle check is added
+    only when there are exactly three stars."""
+    checks = [_stars_check(a), _star_count_check(a.dec, 3)]
+    if checks[1].ok:
+        roles = next(_three_star_readings(a.d, a.dec), None)
+        checks.append(
+            HypothesisCheck(
+                "centers form a directed triangle",
+                roles is not None,
+                "" if roles else "every center reading induces a transitive triangle",
+            )
         )
-    )
-    if dd is None:
-        dd = dependency_digraph(d)
-    return roles, dd, checks
+    return checks
 
 
-def gate_three_stars(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    roles, dd, checks = _gate_three_common(d, "three-stars", dd)
-    if dd is not None:
-        checks.append(_delta_check("delta_Delta > 0", dd.min_degree))
-    return GateResult("three-stars", all(c.ok for c in checks), tuple(checks))
+def gate_three_stars(a: Analysis) -> GateResult:
+    checks = _gate_three_common(a)
+    if checks[1].ok:
+        checks.append(_delta_check("delta_Delta > 0", a.dd.min_degree))
+    return _gate("three-stars", checks)
 
 
-def gate_three_stars_two(d: Digraph, dd: DependencyDigraph | None = None) -> GateResult:
-    roles, dd, checks = _gate_three_common(d, "three-stars-two", dd)
-    if dd is not None:
-        checks.append(_delta_check("delta+_Delta > 0", dd.min_out_degree))
-        checks.append(_delta_check("delta-_Delta > 0", dd.min_in_degree))
-    checks.append(_no_sink_check(d))
-    return GateResult("three-stars-two", all(c.ok for c in checks), tuple(checks))
+def gate_three_stars_two(a: Analysis) -> GateResult:
+    checks = _gate_three_common(a)
+    if checks[1].ok:
+        checks.append(_delta_check("delta+_Delta > 0", a.dd.min_out_degree))
+        checks.append(_delta_check("delta-_Delta > 0", a.dd.min_in_degree))
+    checks.append(_no_sink_check(a.d))
+    return _gate("three-stars-two", checks)
 
 
-_GATES: dict[str, Callable[[Digraph], GateResult]] = {
+# Every gate takes the Analysis of its digraph: `_GATES[tid](Analysis(d))`.
+_GATES: dict[str, Callable[[Analysis], GateResult]] = {
     "havet-thomasse": gate_havet_thomasse,
     "kings-stars": gate_kings_stars,
     "star+matching": gate_star_matching,
@@ -401,17 +367,25 @@ _GATES: dict[str, Callable[[Digraph], GateResult]] = {
     "three-stars-two": gate_three_stars_two,
 }
 
+THEOREM_IDS = tuple(_GATES)
+
 
 def check_hypotheses(d: Digraph) -> tuple[GateResult, ...]:
     """Every theorem gate evaluated on one digraph, in THEOREM_IDS order."""
-    return tuple(_GATES[tid](d) for tid in THEOREM_IDS)
+    a = Analysis(d)
+    return tuple(_GATES[tid](a) for tid in THEOREM_IDS)
 
 
-def _require(gate: GateResult) -> GateResult:
+def _require(
+    gate_fn: Callable[[Analysis], GateResult], d: Digraph
+) -> tuple[Analysis, GateResult]:
+    """The analysis of d and its passing gate result; raise when the gate fails."""
+    a = Analysis(d)
+    gate = gate_fn(a)
     if not gate.applicable:
         first = gate.failing()[0]
         raise HypothesisFailedError(gate.theorem_id, first.clause, first.evidence)
-    return gate
+    return a, gate
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +396,11 @@ def _two_star_claim_holds(d: Digraph, x: int, a_set, y: int, b_set) -> bool:
     return all(d.has_arc(y, a) for a in a_set) and all(d.has_arc(b, x) for b in b_set)
 
 
-def _two_star_roles(d: Digraph, dec: StarDecomposition, prefer_claim: bool = False):
-    """(x, A, y, B) with x -> y; optionally prefer a claim-satisfying reading."""
-    best = None
-    for stars in center_assignments(dec):
-        s1, s2 = stars
-        if d.has_arc(s1.center, s2.center):
-            sx, sy = s1, s2
-        else:
-            sx, sy = s2, s1
-        roles = (sx.center, sx.leaves, sy.center, sy.leaves)
-        if best is None:
-            best = roles
-        if not prefer_claim or _two_star_claim_holds(d, *roles):
-            return roles
-    return best
+def _two_star_readings(d: Digraph, dec: StarDecomposition):
+    """(x, A, y, B) with x -> y, per star reading."""
+    for s1, s2 in center_assignments(dec):
+        sx, sy = (s1, s2) if d.has_arc(s1.center, s2.center) else (s2, s1)
+        yield (sx.center, sx.leaves, sy.center, sy.leaves)
 
 
 def _three_star_claim_holds(d, x, a_set, y, b_set, z, c_set) -> bool:
@@ -450,24 +414,28 @@ def _three_star_claim_holds(d, x, a_set, y, b_set, z, c_set) -> bool:
     )
 
 
-def _three_star_roles(d: Digraph, dec: StarDecomposition, prefer_claim: bool = False):
-    """(x, A, y, B, z, C) with x -> y -> z -> x."""
-    best = None
+def _three_star_readings(d: Digraph, dec: StarDecomposition):
+    """(x, A, y, B, z, C) with x -> y -> z -> x, per star reading."""
     for stars in center_assignments(dec):
         s1, s2, s3 = sorted(stars, key=lambda s: s.center)
         for sx, sy, sz in ((s1, s2, s3), (s1, s3, s2)):
-            if not (
+            if (
                 d.has_arc(sx.center, sy.center)
                 and d.has_arc(sy.center, sz.center)
                 and d.has_arc(sz.center, sx.center)
             ):
-                continue
-            roles = (sx.center, sx.leaves, sy.center, sy.leaves, sz.center, sz.leaves)
-            if best is None:
-                best = roles
-            if not prefer_claim or _three_star_claim_holds(d, *roles):
-                return roles
-    return best
+                yield (sx.center, sx.leaves, sy.center, sy.leaves, sz.center, sz.leaves)
+
+
+def _claimed_roles(d: Digraph, readings, claim):
+    """The first reading satisfying claim, else the first reading."""
+    first = None
+    for roles in readings:
+        if claim(d, *roles):
+            return roles
+        if first is None:
+            first = roles
+    return first
 
 
 def _role_with_tail(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] | None:
@@ -502,16 +470,19 @@ def _next_roles(d: Digraph, e1: Edge, e2: Edge, u: int, v: int) -> tuple[int, in
 # orientation helpers
 
 
+def _center_of(stars: Sequence[Star]) -> dict[Edge, int]:
+    """The center of the star holding each missing edge."""
+    return {edge(a, s.center): s.center for s in stars for a in s.leaves}
+
+
 def _orient_missing_edges(d: Digraph, stars: Sequence[Star], dd: DependencyDigraph):
     """Good edges conveniently, every other edge toward its star center.
 
-    Returns (arcs, notes).  Good edges (dependency in-degree zero) always
-    admit a convenient orientation; its absence is a consistency failure.
+    Returns the completed tournament and one note per edge.  Good edges
+    (dependency in-degree zero) always admit a convenient orientation; its
+    absence is a consistency failure.
     """
-    center_of = {}
-    for s in stars:
-        for a in s.leaves:
-            center_of[edge(a, s.center)] = s.center
+    center_of = _center_of(stars)
     arcs = []
     notes = []
     for e in dd.edges:
@@ -528,7 +499,7 @@ def _orient_missing_edges(d: Digraph, stars: Sequence[Star], dd: DependencyDigra
             leaf = next(iter(e - {c}))
             arcs.append((leaf, c))
             notes.append(f"{edge_pair(e)} toward center {c}")
-    return arcs, notes
+    return d.complete(arcs), notes
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +517,6 @@ def _second_witness(
     order: Sequence[int],
     first: int,
     candidates: CandidateFn = _default_candidates,
-    budget: int | None = None,
 ) -> tuple[int, list[str]]:
     """Second SNP vertex from sedimenting the prefix of a good median order.
 
@@ -562,7 +532,7 @@ def _second_witness(
     sub, mapping = d.induced(prefix)
     inv = {v: i for i, v in enumerate(mapping)}
     sub_order = tuple(inv[v] for v in prefix)
-    run = sediment(sub, sub_order, budget=budget)
+    run = sediment(sub, sub_order)
     outcome = run.outcome
     if outcome.kind == "stable":
         chosen = run.final
@@ -570,7 +540,6 @@ def _second_witness(
     elif outcome.kind == "periodic":
         cycle = run.orders[outcome.cycle_start :]
         outs = [u for u in d.neighbors(first) if u in inv]
-        chosen = None
         for q, cand in enumerate(cycle):
             bad = set(analyze(sub, cand).bad)
             hit = [u for u in outs if inv[u] in bad]
@@ -581,7 +550,7 @@ def _second_witness(
                     f"out-neighbor {hit[0]} of {first} is bad at cycle step {q}"
                 )
                 break
-        if chosen is None:
+        else:
             raise ConsistencyError(
                 "periodic sedimentation cycle has no order where an "
                 f"out-neighbor of {first} is bad"
@@ -590,7 +559,10 @@ def _second_witness(
         raise ConsistencyError(f"sedimentation exhausted its budget on {sub.n} vertices")
     feed_sub = chosen[-1]
     feed_orig = mapping[feed_sub]
-    jset = tuple(mapping[i] for i in j_of(sub, feed_sub))
+    if sub.is_whole(feed_sub):
+        jset = (feed_orig,)  # a whole vertex is its own J: no component index
+    else:
+        jset = tuple(mapping[i] for i in j_of(sub, feed_sub, component_index(sub)))
     for w in candidates(jset, feed_orig):
         if w != first and has_snp(d, w):
             trace.append(f"second witness {w} from J {list(jset)}")
@@ -611,66 +583,134 @@ def _tournament_witnesses(t: Digraph, cap: int) -> tuple[list[int], list[str]]:
     return [feed, second], trace + extra
 
 
+def _interval_candidates(
+    d: Digraph, centers: VertexSet, lead: VertexSet, inner_witnesses
+) -> CandidateFn:
+    """Contenders in J(feed) for the two-witness star procedures.
+
+    When J holds every center, lead comes first, then inner_witnesses of the
+    tournament J minus the centers; the feed and the rest of J follow.
+    """
+
+    def candidates(jset: VertexSet, feed: int) -> list[int]:
+        cands = []
+        if all(c in jset for c in centers):
+            cands.extend(lead)
+            rest = [v for v in jset if v not in centers]
+            if rest:
+                sub, mapping = d.induced(rest)
+                if sub.is_tournament():
+                    cands.extend(mapping[w] for w in inner_witnesses(sub))
+        for v in (feed, *jset):
+            if v not in cands:
+                cands.append(v)
+        return cands
+
+    return candidates
+
+
+def _verified(d: Digraph, candidates, limit: int | None = None) -> list[int]:
+    """The distinct oracle-verified candidates, in order, stopping at limit."""
+    found: list[int] = []
+    for v in candidates:
+        if v not in found and has_snp(d, v):
+            found.append(v)
+            if len(found) == limit:
+                break
+    return found
+
+
+def _two_witnesses(
+    a: Analysis,
+    gate: GateResult,
+    trace: list[str],
+    findings: list[str],
+    kv_candidates: Sequence[int] | None,
+    inner: CandidateFn,
+    cap: int,
+) -> SnpCertificate:
+    """The common end of the two-witness star procedures.
+
+    When the stars cover V(D) (kv_candidates given), the verified candidates
+    are the witnesses.  Otherwise D must be good; the feed of a good median
+    order is the first witness, and the second comes from the feed's
+    interval when J(feed) is a K(xi), else from sedimenting the prefix.
+    """
+    d, theorem_id = a.d, gate.theorem_id
+    if kv_candidates is not None:
+        found = _verified(d, kv_candidates)
+        if len(found) < 2:
+            raise ConsistencyError(f"{theorem_id}: K = V branch found fewer than 2 witnesses")
+        return _certify(d, gate, found, trace, findings)
+    if not a.goodness.is_good:
+        bad = [k for k, ok in a.goodness.verdicts if not ok]
+        raise GoodnessViolationError(f"{theorem_id}: D should be good, K(xi) {bad}")
+    order = good_median_order(d, cap=cap)
+    xn = order[-1]
+    trace.append(f"good median order {list(order)}")
+    jset = j_of(d, xn, a.ci)
+    if len(jset) > 1:
+        trace.append(f"feed interval K {list(jset)}")
+        found = _verified(d, inner(jset, xn), limit=2)
+        if len(found) < 2:
+            raise ConsistencyError(f"{theorem_id}: interval branch found fewer than 2 witnesses")
+        return _certify(d, gate, found, trace, findings)
+    second, extra = _second_witness(d, order, xn, inner)
+    return _certify(d, gate, [xn, second], trace + extra, findings)
+
+
 # ---------------------------------------------------------------------------
 # witness procedures
 
 
 def havet_thomasse_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Feed of an exact median order; a second vertex when there is no sink."""
-    gate = _require(gate_havet_thomasse(d))
+    _, gate = _require(gate_havet_thomasse, d)
     witnesses, trace = _tournament_witnesses(d, cap)
     if d.has_sink():
         trace.append("tournament has a sink: single witness")
-    return _certify(d, "havet-thomasse", gate, witnesses, trace)
+    return _certify(d, gate, witnesses, trace)
 
 
 def kings_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Orient toward the all-kings centers; the median-order feed is the witness."""
-    dd = dependency_digraph(d)
-    gate = _require(gate_kings_stars(d, dd))
-    dec = decompose(d)
-    chosen = None
-    for stars in center_assignments(dec):
-        centers = [s.center for s in stars]
-        sub, _ = d.induced(centers)
-        if sub.is_tournament() and all_kings(sub):
-            chosen = stars
-            break
-    if chosen is None and dec.component_count() == 0:
-        chosen = ()
-    plan = orient_toward_centers(tuple(chosen))
+    a, gate = _require(gate_kings_stars, d)
+    chosen = _kings_reading(a)
+    plan = orient_toward_centers(chosen)
     t = d.complete(plan.arcs)
     res = exact_median_order(t, cap=cap)
     f = res.order[-1]
     trace = [f"median order {list(res.order)}"]
     centers = {s.center for s in chosen}
-    leaves = {a: s.center for s in chosen for a in s.leaves}
+    leaves = {leaf: s.center for s in chosen for leaf in s.leaves}
     if d.is_whole(f):
         case = "whole-feed"
     elif f in centers:
         case = "center-feed"
     else:
         x = leaves[f]
-        if dd.out_degree(edge(f, x)) > 0:
+        if a.dd.out_degree(edge(f, x)) > 0:
             case = "leaf-feed-losing"
         else:
             case = "leaf-feed-reoriented"
             trace.append(f"edge ({f}, {x}) loses to nothing; reoriented toward {f}")
     trace.append(f"case {case}")
-    return _certify(d, "kings-stars", gate, [f], trace)
+    return _certify(d, gate, [f], trace)
+
+
+def _tournament_feed(d: Digraph, gate: GateResult, cap: int) -> SnpCertificate:
+    """The feed of an exact median order of a tournament."""
+    res = exact_median_order(d, cap=cap)
+    trace = [f"median order {list(res.order)}", "case tournament"]
+    return _certify(d, gate, [res.order[-1]], trace)
 
 
 def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Orient the star toward its center, maximize the center's index, take the feed."""
-    gate = _require(gate_single_star(d))
-    dec = decompose(d)
+    a, gate = _require(gate_single_star, d)
+    dec = a.dec
     if dec.component_count() == 0:
-        res = exact_median_order(d, cap=cap)
-        f = res.order[-1]
-        return _certify(
-            d, "single-star", gate, [f],
-            [f"median order {list(res.order)}", "case tournament"],
-        )
+        return _tournament_feed(d, gate, cap)
     star = canonical_stars(dec)[0]
     x = star.center
     plan = orient_toward_centers((star,))
@@ -692,7 +732,7 @@ def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
                 "order; exact solver invariant violated"
             )
     trace.append(f"case {case}")
-    return _certify(d, "single-star", gate, [f], trace, findings)
+    return _certify(d, gate, [f], trace, findings)
 
 
 def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]], list[str]]:
@@ -708,8 +748,7 @@ def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]]
         first = chain[0]
         # role labels along the chain
         if len(chain) == 1:
-            u, v = edge_pair(first)
-            labels = [(u, v)]
+            labels = [edge_pair(first)]
         else:
             w = ci.dd.witnesses[(chain[0], chain[1])]
             labels = [(w.x1, w.y1), (w.x2, w.y2)]
@@ -721,13 +760,12 @@ def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]]
                         f"and {edge_pair(chain[k + 1])}"
                     )
                 labels.append(nxt)
-        a1, b1 = labels[0]
         cos = convenient_orientations(d, first)
         if not cos:
             raise ConsistencyError(
                 f"path start {edge_pair(first)} has no convenient orientation"
             )
-        if (a1, b1) in cos:
+        if labels[0] in cos:
             arcs.extend(labels)
             notes.append(f"path {[edge_pair(e) for e in chain]} oriented a->b")
         else:
@@ -744,17 +782,11 @@ def _star_interval_witness(
     median order of the completed tournament."""
     x = star.center
     dd = ci.dd
-    roles: dict[Edge, tuple[int, int]] = {}
-    queue: list[Edge] = []
-    for a in star.leaves:
-        e = edge(a, x)
-        roles[e] = (a, x)
-        queue.append(e)
-    # breadth-first role propagation along the losing relation
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
+    roles: dict[Edge, tuple[int, int]] = {edge(a, x): (a, x) for a in star.leaves}
+    queue = list(roles)
+    # breadth-first role propagation along the losing relation; the loop
+    # also visits the edges appended to the queue while it runs
+    for e in queue:
         for e2 in dd.successors(e):
             if e2 in roles:
                 continue
@@ -763,7 +795,6 @@ def _star_interval_witness(
                 continue
             roles[e2] = nxt
             queue.append(e2)
-    kmask = set(kset)
     sub, mapping = d.induced(kset)
     inv = {v: i for i, v in enumerate(mapping)}
     orientation = []
@@ -795,74 +826,62 @@ def _star_interval_witness(
 def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Add F along path components, take a good median order of D+F, and pick
     the witness inside the feed's interval."""
-    gate = _require(gate_star_matching(d))
-    dec = decompose(d)
+    a, gate = _require(gate_star_matching, d)
+    dec = a.dec
     if dec.component_count() == 0:
-        res = exact_median_order(d, cap=cap)
-        f = res.order[-1]
-        return _certify(
-            d, "star+matching", gate, [f],
-            [f"median order {list(res.order)}", "case tournament"],
-        )
-    ci = component_index(d)
-    f_arcs, trace = _build_f_arcs(d, ci)
+        return _tournament_feed(d, gate, cap)
+    f_arcs, trace = _build_f_arcs(d, a.ci)
     d_prime = d.with_arcs(add=f_arcs)
     trace.append(f"F has {len(f_arcs)} arc(s)")
-    ci_prime = component_index(d_prime)
-    report = goodness(d_prime, ci_prime)
-    if not report.is_good:
-        bad = [k for k, ok in report.verdicts if not ok]
+    a_prime = Analysis(d_prime)
+    if not a_prime.goodness.is_good:
+        bad = [k for k, ok in a_prime.goodness.verdicts if not ok]
         raise GoodnessViolationError(f"D+F is not good: non-interval K(xi) {bad}")
     order = good_median_order(d_prime, cap=cap)
     f = order[-1]
     trace.append(f"good median order of D+F: {list(order)}")
     findings: list[str] = []
+    witness = f
     if d_prime.is_whole(f):
         case = "whole-feed"
-        witness = f
     else:
-        jset = j_of(d_prime, f, ci_prime)
+        jset = j_of(d_prime, f, a_prime.ci)
         star = dec.stars[0] if dec.stars else None
         if star is not None and star.center in jset:
             case = "star-interval"
-            witness, extra, findings = _star_interval_witness(d, ci, star, jset, cap)
+            witness, extra, findings = _star_interval_witness(d, a.ci, star, jset, cap)
             trace.extend(extra)
         else:
             case = "cycle-interval"
-            witness = f
     trace.append(f"case {case}")
-    return _certify(d, "star+matching", gate, [witness], trace, findings)
+    return _certify(d, gate, [witness], trace, findings)
 
 
 def matching_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Two SNP vertices of a sinkless digraph missing a matching with F empty."""
-    ci = component_index(d)
-    gate = _require(gate_matching_f_empty(d, ci))
+    a, gate = _require(gate_matching_f_empty, d)
     order = good_median_order(d, cap=cap)
     xn = order[-1]
     trace = [f"good median order {list(order)}"]
-    jset = j_of(d, xn, ci)
+    jset = j_of(d, xn, a.ci)
     if len(jset) > 1:
         trace.append(f"feed interval K {list(jset)}: every member qualifies")
-        found = [v for v in (xn, *[u for u in jset if u != xn]) if has_snp(d, v)]
+        found = _verified(d, (xn, *jset), limit=2)
         if len(found) < 2:
             raise ConsistencyError(
                 f"interval {list(jset)} yields fewer than two oracle-verified vertices"
             )
-        return _certify(d, "matching-F-empty-no-sink", gate, found[:2], trace)
+        return _certify(d, gate, found, trace)
     second, extra = _second_witness(d, order, xn)
-    return _certify(d, "matching-F-empty-no-sink", gate, [xn, second], trace + extra)
+    return _certify(d, gate, [xn, second], trace + extra)
 
 
 def two_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Median order maximizing the index of the dominant center; feed wins."""
-    dd = dependency_digraph(d)
-    gate = _require(gate_two_stars(d, dd))
-    dec = decompose(d)
-    x, a_set, y, b_set = _two_star_roles(d, dec)
+    a, gate = _require(gate_two_stars, d)
+    x, a_set, y, b_set = next(_two_star_readings(d, a.dec))
     stars = (Star(x, a_set), Star(y, b_set))
-    arcs, notes = _orient_missing_edges(d, stars, dd)
-    t = d.complete(arcs)
+    t, notes = _orient_missing_edges(d, stars, a.dd)
     res = exact_median_order(t, tiebreak=[x], cap=cap)
     f = res.order[-1]
     trace = notes + [f"median order {list(res.order)} (index of {x} maximal)"]
@@ -877,84 +896,34 @@ def two_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificat
     else:
         case = "leaf-A"
     trace.append(f"case {case}")
-    return _certify(d, "two-stars", gate, [f], trace)
-
-
-def _two_star_interval_candidates(d: Digraph, x: int, y: int, cap: int) -> CandidateFn:
-    def candidates(jset: VertexSet, feed: int) -> list[int]:
-        cands = []
-        if x in jset and y in jset:
-            cands.append(x)
-            rest = [v for v in jset if v not in (x, y)]
-            if rest:
-                sub, mapping = d.induced(rest)
-                if sub.is_tournament():
-                    g = exact_median_order(sub, cap=cap).order[-1]
-                    cands.append(mapping[g])
-        for v in (feed, *jset):
-            if v not in cands:
-                cands.append(v)
-        return cands
-
-    return candidates
+    return _certify(d, gate, [f], trace)
 
 
 def two_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
-    dd = dependency_digraph(d)
-    gate = _require(gate_two_stars_two(d, dd))
-    dec = decompose(d)
-    x, a_set, y, b_set = _two_star_roles(d, dec, prefer_claim=True)
+    a, gate = _require(gate_two_stars_two, d)
+    x, a_set, y, b_set = _claimed_roles(d, _two_star_readings(d, a.dec), _two_star_claim_holds)
     if not _two_star_claim_holds(d, x, a_set, y, b_set):
         raise ConsistencyError(
             "two-stars-two: positive dependency degrees must force "
             f"{y}->A and B->{x}, but they do not"
         )
     trace = [f"roles x={x} A={list(a_set)} y={y} B={list(b_set)}"]
-    kset = tuple(sorted({x, y, *a_set, *b_set}))
-    inner = _two_star_interval_candidates(d, x, y, cap)
-    if len(kset) == d.n:
+    kv_candidates = None
+    if len({x, y, *a_set, *b_set}) == d.n:
         trace.append("K = V(D): center + sub-tournament witness")
         rest = [v for v in range(d.n) if v not in (x, y)]
         sub, mapping = d.induced(rest)
-        g = mapping[exact_median_order(sub, cap=cap).order[-1]]
-        found = [v for v in (x, g) if has_snp(d, v)]
-        for v in range(d.n):
-            if len(found) >= 2:
-                break
-            if v not in found and has_snp(d, v):
-                found.append(v)
-        if len(found) < 2:
-            raise ConsistencyError("two-stars-two: K = V branch found fewer than 2 witnesses")
-        return _certify(d, "two-stars-two", gate, found[:2], trace)
-    report = goodness(d)
-    if not report.is_good:
-        bad = [k for k, ok in report.verdicts if not ok]
-        raise GoodnessViolationError(f"two-stars-two: D should be good, K(xi) {bad}")
-    order = good_median_order(d, cap=cap)
-    xn = order[-1]
-    trace.append(f"good median order {list(order)}")
-    jset = j_of(d, xn)
-    if len(jset) > 1:
-        trace.append(f"feed interval K {list(jset)}")
-        found = []
-        for v in inner(jset, xn):
-            if v not in found and has_snp(d, v):
-                found.append(v)
-            if len(found) >= 2:
-                break
-        if len(found) < 2:
-            raise ConsistencyError("two-stars-two: interval branch found fewer than 2 witnesses")
-        return _certify(d, "two-stars-two", gate, found, trace)
-    second, extra = _second_witness(d, order, xn, inner)
-    return _certify(d, "two-stars-two", gate, [xn, second], trace + extra)
+        kv_candidates = (x, mapping[exact_median_order(sub, cap=cap).order[-1]])
+    inner = _interval_candidates(
+        d, (x, y), (x,), lambda sub: [exact_median_order(sub, cap=cap).order[-1]]
+    )
+    return _two_witnesses(a, gate, trace, [], kv_candidates, inner, cap)
 
 
-def _three_star_shape_check(d: Digraph, dd: DependencyDigraph, x, a_set, y, b_set, z, c_set):
+def _three_star_shape_check(dd: DependencyDigraph, stars: tuple[Star, Star, Star]):
     """Arcs of the dependency digraph may only run S_x->S_y->S_z->S_x."""
-    star_of = {}
-    for c, leaves in ((x, a_set), (y, b_set), (z, c_set)):
-        for a in leaves:
-            star_of[edge(a, c)] = c
+    star_of = _center_of(stars)
+    x, y, z = (s.center for s in stars)
     allowed = {(x, y), (y, z), (z, x)}
     for e1, e2 in dd.arcs:
         if (star_of[e1], star_of[e2]) not in allowed:
@@ -965,14 +934,11 @@ def _three_star_shape_check(d: Digraph, dd: DependencyDigraph, x, a_set, y, b_se
 
 
 def three_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
-    dd = dependency_digraph(d)
-    gate = _require(gate_three_stars(d, dd))
-    dec = decompose(d)
-    x, a_set, y, b_set, z, c_set = _three_star_roles(d, dec)
-    _three_star_shape_check(d, dd, x, a_set, y, b_set, z, c_set)
+    a, gate = _require(gate_three_stars, d)
+    x, a_set, y, b_set, z, c_set = next(_three_star_readings(d, a.dec))
     stars = (Star(x, a_set), Star(y, b_set), Star(z, c_set))
-    arcs, notes = _orient_missing_edges(d, stars, dd)
-    t = d.complete(arcs)
+    _three_star_shape_check(a.dd, stars)
+    t, notes = _orient_missing_edges(d, stars, a.dd)
     res = exact_median_order(t, tiebreak=[x, y, z], cap=cap)
     f = res.order[-1]
     trace = notes + [
@@ -985,7 +951,7 @@ def three_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
     else:
         case = "leaf-feed"
     trace.append(f"case {case}")
-    return _certify(d, "three-stars", gate, [f], trace)
+    return _certify(d, gate, [f], trace)
 
 
 def _three_star_qualifying_center(x, a_set, y, b_set, z, c_set) -> int:
@@ -998,29 +964,11 @@ def _three_star_qualifying_center(x, a_set, y, b_set, z, c_set) -> int:
     return z
 
 
-def _three_star_interval_candidates(d: Digraph, centers: tuple[int, int, int], cap: int) -> CandidateFn:
-    def candidates(jset: VertexSet, feed: int) -> list[int]:
-        cands = []
-        if all(c in jset for c in centers):
-            rest = [v for v in jset if v not in centers]
-            if rest:
-                sub, mapping = d.induced(rest)
-                if sub.is_tournament():
-                    ws, _ = _tournament_witnesses(sub, cap)
-                    cands.extend(mapping[w] for w in ws)
-        for v in (feed, *jset):
-            if v not in cands:
-                cands.append(v)
-        return cands
-
-    return candidates
-
-
 def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
-    dd = dependency_digraph(d)
-    gate = _require(gate_three_stars_two(d, dd))
-    dec = decompose(d)
-    x, a_set, y, b_set, z, c_set = _three_star_roles(d, dec, prefer_claim=True)
+    a, gate = _require(gate_three_stars_two, d)
+    x, a_set, y, b_set, z, c_set = _claimed_roles(
+        d, _three_star_readings(d, a.dec), _three_star_claim_holds
+    )
     if not _three_star_claim_holds(d, x, a_set, y, b_set, z, c_set):
         raise ConsistencyError(
             "three-stars-two: positive dependency degrees must force the "
@@ -1030,9 +978,8 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
         f"roles x={x} A={list(a_set)} y={y} B={list(b_set)} z={z} C={list(c_set)}"
     ]
     findings: list[str] = []
-    kset = tuple(sorted({x, y, z, *a_set, *b_set, *c_set}))
-    inner = _three_star_interval_candidates(d, (x, y, z), cap)
-    if len(kset) == d.n:
+    kv_candidates = None
+    if len({x, y, z, *a_set, *b_set, *c_set}) == d.n:
         trace.append("K = V(D): sub-tournament pair + qualifying center")
         rest = [v for v in range(d.n) if v not in (x, y, z)]
         sub, mapping = d.induced(rest)
@@ -1040,39 +987,11 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
             findings.append("H = D - centers has a sink, contrary to the expected shape")
         ws, _ = _tournament_witnesses(sub, cap)
         center = _three_star_qualifying_center(x, a_set, y, b_set, z, c_set)
-        found = []
-        for v in (*[mapping[w] for w in ws], center):
-            if v not in found and has_snp(d, v):
-                found.append(v)
-        for v in range(d.n):
-            if len(found) >= 2:
-                break
-            if v not in found and has_snp(d, v):
-                found.append(v)
-        if len(found) < 2:
-            raise ConsistencyError("three-stars-two: K = V branch found fewer than 2 witnesses")
-        return _certify(d, "three-stars-two", gate, found, trace, findings)
-    report = goodness(d)
-    if not report.is_good:
-        bad = [k for k, ok in report.verdicts if not ok]
-        raise GoodnessViolationError(f"three-stars-two: D should be good, K(xi) {bad}")
-    order = good_median_order(d, cap=cap)
-    xn = order[-1]
-    trace.append(f"good median order {list(order)}")
-    jset = j_of(d, xn)
-    if len(jset) > 1:
-        trace.append(f"feed interval K {list(jset)}")
-        found = []
-        for v in inner(jset, xn):
-            if v not in found and has_snp(d, v):
-                found.append(v)
-            if len(found) >= 2:
-                break
-        if len(found) < 2:
-            raise ConsistencyError("three-stars-two: interval branch found fewer than 2 witnesses")
-        return _certify(d, "three-stars-two", gate, found, trace, findings)
-    second, extra = _second_witness(d, order, xn, inner)
-    return _certify(d, "three-stars-two", gate, [xn, second], trace + extra, findings)
+        kv_candidates = (*[mapping[w] for w in ws], center)
+    inner = _interval_candidates(
+        d, (x, y, z), (), lambda sub: _tournament_witnesses(sub, cap)[0]
+    )
+    return _two_witnesses(a, gate, trace, findings, kv_candidates, inner, cap)
 
 
 THEOREMS: dict[str, Callable[..., SnpCertificate]] = {

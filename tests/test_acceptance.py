@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from seymour.dependency import is_good_digraph, j_of, strong_dependency_check
+from seymour.dependency import component_index, is_good_digraph, j_of, strong_dependency_check
 from seymour.digraph import Weighting, resolve_weights
 from seymour.forge import (
     SEARCH_PREDICATES,
@@ -156,7 +156,7 @@ def test_ac5_sedimentation_preserves_optimum():
         order = good_median_order(d, w)
         ana = analyze(d, order, w)
         ws = resolve_weights(d, w)
-        jset = set(j_of(d, ana.feed))
+        jset = set(j_of(d, ana.feed, component_index(d)))
         lhs = ws.total(set(d.neighbors(ana.feed, "out")) - jset)
         rhs = ws.total(set(ana.good) - jset)
         if lhs != rhs:

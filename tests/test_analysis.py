@@ -1,0 +1,39 @@
+"""One Analysis per instance: gates share it without rebuilding or leaking."""
+
+from collections import Counter
+
+from seymour import dependency
+from seymour.dependency import Analysis
+from seymour.digraph import Digraph
+from seymour.forge import all_digraphs, filtered_search, fixture
+from seymour.theorems import THEOREM_IDS, _GATES, check_hypotheses
+
+
+def test_check_hypotheses_builds_each_structure_once(monkeypatch):
+    three_stars = filtered_search("three-stars", 9, 0, budget=200, count=1).instances[0]
+    calls = Counter()
+    for name in ("decompose", "dependency_digraph"):
+        original = getattr(dependency, name)
+
+        def counted(d, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(d)
+
+        monkeypatch.setattr(dependency, name, counted)
+    for d in (fixture("LC3"), fixture("ST1"), three_stars):
+        calls.clear()
+        check_hypotheses(d)
+        assert calls == {"decompose": 1, "dependency_digraph": 1}
+
+
+def test_gates_on_a_fresh_analysis_match_check_hypotheses():
+    for d in all_digraphs(4):
+        shared = check_hypotheses(d)
+        for tid, gate in zip(THEOREM_IDS, shared):
+            assert _GATES[tid](Analysis(d)) == gate
+
+
+def test_analysis_reports_why_there_is_no_decomposition():
+    a = Analysis(Digraph(3, []))  # missing graph is a triangle
+    assert a.dec is None and "has 3 edges" in a.dec_error
+    assert Analysis(fixture("C4X")).dec_error is None

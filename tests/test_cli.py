@@ -75,6 +75,15 @@ def test_verify_gate_exits_zero(capsys):
     assert rec["status"] == "hypothesis-failed"
 
 
+@pytest.mark.parametrize("name", ["C3", "TT3"])
+def test_verify_kings_stars_on_tournaments(name, capsys):
+    # no missing edges: the gate passes vacuously and the procedure must too
+    code, out = run(["verify", "kings-stars", name, "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "verified"
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 2\n0 1\n1 0\n")

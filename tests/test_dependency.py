@@ -57,12 +57,13 @@ def test_witnesses_replay():
 
 
 def test_good_edges_examples():
-    assert good_edges(fixture("C4X")) == ()
-    assert good_edges(fixture("LC3")) == ()
+    for name in ("C4X", "LC3"):
+        d = fixture(name)
+        assert good_edges(d, dependency_digraph(d)) == ()
     t = random_tournament(5, 1)
     d = t.with_arcs(remove=[t.arcs[0]])
     (e,) = d.missing_pairs()
-    assert good_edges(d) == (edge(*e),)
+    assert good_edges(d, dependency_digraph(d)) == (edge(*e),)
 
 
 def test_component_index_examples():
@@ -86,12 +87,13 @@ def test_two_disjoint_blocks_give_two_xi():
 
 
 def test_j_of_examples():
-    assert j_of(fixture("C3"), 0) == (0,)
-    assert j_of(fixture("C4X"), 0) == (0, 1, 2, 3)
+    c3, c4x = fixture("C3"), fixture("C4X")
+    assert j_of(c3, 0, component_index(c3)) == (0,)
+    assert j_of(c4x, 0, component_index(c4x)) == (0, 1, 2, 3)
     # LC3 plus a whole vertex dominating everything
     lc3 = fixture("LC3")
     d = Digraph(7, list(lc3.arcs) + [(6, v) for v in range(6)])
-    assert j_of(d, 6) == (6,)
+    assert j_of(d, 6, component_index(d)) == (6,)
 
 
 def test_is_good_digraph_examples():
@@ -105,7 +107,8 @@ def test_is_good_digraph_examples():
 
 
 def test_goodness_reports_per_xi_verdicts():
-    report = goodness(fixture("C4X"))
+    c4x = fixture("C4X")
+    report = goodness(c4x, component_index(c4x))
     assert report.is_good and report.verdicts == (((0, 1, 2, 3), True),)
 
 

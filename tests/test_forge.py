@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seymour.dependency import dependency_digraph
+from seymour.dependency import Analysis, dependency_digraph
 from seymour.errors import UnrealizableError
 from seymour.forge import (
     InstanceSpec,
@@ -115,7 +115,7 @@ def test_filtered_search_instances_pass_their_gate():
         assert res.instances, predicate
         assert 0 < res.acceptance_rate <= 1
         for d in res.instances:
-            assert _GATES[predicate](d).applicable
+            assert _GATES[predicate](Analysis(d)).applicable
     again = filtered_search("two-stars", 9, 0, budget=120, count=8)
     assert [d.fingerprint() for d in again.instances] == [
         d.fingerprint() for d in filtered_search("two-stars", 9, 0, budget=120, count=8).instances

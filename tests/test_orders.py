@@ -164,14 +164,14 @@ def test_sed_of_median_preserves_weight(seed, n):
 @settings(max_examples=80, deadline=None)
 def test_lemma1_style_inequality_on_good_instances(seed, n):
     d = random_star_deleted(n, seed)
-    from seymour.dependency import is_good_digraph, j_of
+    from seymour.dependency import component_index, is_good_digraph, j_of
     from seymour.digraph import resolve_weights
     if not is_good_digraph(d):
         return
     order = good_median_order(d)
     ana = analyze(d, order)
     ws = resolve_weights(d, None)
-    jset = set(j_of(d, ana.feed))
+    jset = set(j_of(d, ana.feed, component_index(d)))
     bound = ws.total(set(ana.good) - jset)
     for x in jset:
         assert ws.total(set(d.neighbors(x, "out")) - jset) <= bound

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seymour.dependency import Analysis
 from seymour.digraph import Digraph
 from seymour.errors import HypothesisFailedError
 from seymour.forge import (
     all_kings_tournament,
+    all_tournaments,
     filtered_search,
     fixture,
     losing_cycle_gadget,
@@ -19,6 +21,7 @@ from seymour.theorems import (
     has_snp,
     havet_thomasse_witnesses,
     is_king,
+    kings_stars_witness,
     matching_two_witnesses,
     snp_set,
     star_matching_witness,
@@ -83,6 +86,15 @@ def test_kings_stars_gate_fails_on_c4x():
         THEOREMS["kings-stars"](fixture("C4X"))
 
 
+def test_kings_stars_certifies_every_tournament_on_five_vertices():
+    count = 0
+    for t in all_tournaments(5):
+        cert = kings_stars_witness(t)
+        assert cert.ok and all(brute_has_snp(t, v) for v in cert.witnesses)
+        count += 1
+    assert count == 1024
+
+
 def test_star_matching_on_pure_matching_fixtures():
     for name in ("C4X", "LC3"):
         cert = star_matching_witness(fixture(name))
@@ -117,7 +129,7 @@ def test_two_stars_gate_requires_positive_delta():
     for seed in range(60):
         d = random_star_deleted(9, seed, [2, 2])
         from seymour.theorems import gate_two_stars
-        if gate_two_stars(d).applicable:
+        if gate_two_stars(Analysis(d)).applicable:
             continue
         with pytest.raises(HypothesisFailedError):
             two_stars_witness(d)
@@ -138,7 +150,7 @@ def test_three_stars_gate_rejects_transitive_centers():
     from seymour.forge import delete_disjoint_stars
     d = delete_disjoint_stars(t, [(0, (1, 2)), (3, (4, 5)), (6, (7, 8))])
     from seymour.theorems import gate_three_stars
-    assert not gate_three_stars(d).applicable
+    assert not gate_three_stars(Analysis(d)).applicable
     with pytest.raises(HypothesisFailedError):
         three_stars_witness(d)
 
