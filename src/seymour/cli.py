@@ -29,6 +29,7 @@ from .errors import (
 )
 from .instfile import emit_instance, parse_instance
 from .orders import (
+    MAX_EXACT_CAP,
     analyze,
     exact_median_order,
     local_median_order,
@@ -145,7 +146,7 @@ def cmd_median(args) -> Report:
     else:
         order = local_median_order(d, tuple(range(d.n)), w)
         value, mode = None, "local"
-    ana = analyze(d, order, w)
+    ana = analyze(d, order)
     fb = satisfies_feedback(d, order, w)
     detail = {
         "mode": mode,
@@ -347,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap-exact", type=int, default=_env_default("cap_exact", 15),
-        help="max n for the exact median solver (default 15)",
+        help=f"max n for the exact median solver (default 15, at most {MAX_EXACT_CAP})",
     )
     common.add_argument(
         "--seed", type=int, default=_env_default("seed", 0),
@@ -419,6 +420,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cap_exact < 1 or args.budget < 1 or args.jobs < 1:
         parser.exit(2, "caps, budgets, and jobs must be >= 1\n")
+    if args.cap_exact > MAX_EXACT_CAP:
+        parser.error(
+            f"--cap-exact {args.cap_exact} exceeds the exact solver's ceiling {MAX_EXACT_CAP}"
+        )
     try:
         result = args.handler(args)
     except (ParseError, UsageError, ValueError) as exc:

@@ -14,7 +14,22 @@ where neighborhood weights are vertex-set weights inside the interval.
 
 The exact solver additionally optimizes an epsilon-augmented weight
 (w + eps, compared lexicographically) so its output satisfies the feedback
-property even when some vertex weights are zero.
+property even when some vertex weights are zero.  Arc (u, v) then weighs
+w(u)w(v) + eps(w(u) + w(v)) + eps^2, so with integer-scaled weights an
+order is scored by the tuple
+
+    (A, T, E, C) = (sum of w(u)w(v), tie score, sum of w(u) + w(v), count)
+
+over its forward arcs, compared lexicographically; T is the 1-based index
+sum of an optional tiebreak set, maximized second.  The subset DP packs the
+tuple into one integer, C in the lowest bits, then E, T and A, each field as
+wide as its bound (with p = n(n-1)/2 pairs: C <= p, E <= 2 * max(w) * p,
+T <= n*n), so integer comparison is tuple comparison.  A table of subset
+weight sums gives the weight of a vertex's in-neighbors among the placed
+vertices in one lookup.  With equal positive weights w the tuple is
+(w*w*C, T, 2*w*C, C), which orders exactly like (C, T), so that key is C
+shifted above T (and C alone without a tiebreak), and no weight table is
+built.
 """
 
 from __future__ import annotations
@@ -31,6 +46,8 @@ from .errors import ConsistencyError, ExactBoundExceededError, NotGoodDigraphErr
 LinearOrder = tuple[int, ...]
 
 DEFAULT_EXACT_CAP = 15
+# hard ceiling on any cap: the DP keeps several lists of 2**n entries
+MAX_EXACT_CAP = 20
 
 
 def _check_order(d: Digraph, order: Sequence[int]) -> LinearOrder:
@@ -52,7 +69,8 @@ def forward_weight(d: Digraph, order: Sequence[int], w: Weighting | None = None)
     return total
 
 
-def _scaled_int_weights(ws: Weighting) -> list[int]:
+def _scaled_int_weights(ws: Weighting) -> tuple[list[int], int]:
+    """Integer weights proportional to ws, and the common denominator."""
     scale = math.lcm(*(f.denominator for f in ws.values)) if len(ws) else 1
     return [int(f * scale) for f in ws.values], scale
 
@@ -75,10 +93,23 @@ def exact_median_order(
     tiebreak, when given, is a set of vertices whose total (1-based) index
     is maximized among all maximum-weight orders: a single vertex realizes
     the max-index rule, several realize the max-index-sum rule.
+
+    For each vertex subset S the DP keeps one integer key: the best score of
+    an order of S placed first, the tuple (A, T, E, C) of the module
+    docstring packed into one int.  Among the transitions into S with the
+    maximal key, the one placing the largest vertex last wins, so the result
+    is deterministic.  With equal positive weights w the tuple is
+    (w*w*C, T, 2*w*C, C) for the forward-arc count C and tie score T, which
+    orders exactly like (C, T); the key then packs C and T only, or is C
+    alone without a tiebreak.
+
+    Raises ExactBoundExceededError when n exceeds min(cap, MAX_EXACT_CAP),
+    before anything of size 2**n is allocated.
     """
     n = d.n
-    if n > cap:
-        raise ExactBoundExceededError(f"exact solver capped at {cap} vertices, got {n}")
+    limit = min(cap, MAX_EXACT_CAP)
+    if n > limit:
+        raise ExactBoundExceededError(f"exact solver capped at {limit} vertices, got {n}")
     ws = resolve_weights(d, w)
     if n == 0:
         return MedianResult((), Fraction(0), 0 if tiebreak is not None else None)
@@ -92,12 +123,14 @@ def exact_median_order(
 
     size = 1 << n
     parent = [0] * size
+    value = [0] * size
     uniform = len(set(weights)) == 1 and weights[0] > 0
+    # tie score T <= n(n+1)/2 <= n*n fits below tshift
+    tshift = (n * n).bit_length()
 
     if uniform and not tie_mask:
         # unit-like weights: value reduces to the forward arc count
         unit = weights[0]
-        value = [0] * size
         for s in range(1, size):
             best = -1
             best_v = -1
@@ -114,12 +147,48 @@ def exact_median_order(
             parent[s] = best_v
         total = Fraction(value[size - 1] * unit * unit, scale * scale)
         tie_score = None
-    else:
-        zero = (0, 0, 0, 0)
-        value = [zero] * size
+    elif uniform:
+        # key C << tshift | T
+        unit = weights[0]
         for s in range(1, size):
             pos = s.bit_count()
-            best = None
+            best = -1
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                prev = s ^ low
+                cand = value[prev] + ((prev & in_masks[v]).bit_count() << tshift)
+                if tie_mask & low:
+                    cand += pos
+                if cand >= best:
+                    best = cand
+                    best_v = v
+            value[s] = best
+            parent[s] = best_v
+        final = value[size - 1]
+        total = Fraction((final >> tshift) * unit * unit, scale * scale)
+        tie_score = final & ((1 << tshift) - 1)
+    else:
+        # key A << a_at | T << t_at | E << e_at | C; each field stays below
+        # the next offset: C <= pairs, E <= 2 * max(w) * pairs, T < 2**tshift
+        pairs = n * (n - 1) // 2
+        e_at = pairs.bit_length()
+        t_at = e_at + (2 * max(weights) * pairs).bit_length()
+        a_at = t_at + tshift
+        # a transition adds w(v) * sw to A, sw + cnt * w(v) to E and cnt to
+        # C, where sw and cnt are the weight and size of prev & in_masks[v]
+        per_sw = [(wv << a_at) + (1 << e_at) for wv in weights]
+        per_cnt = [(wv << e_at) + 1 for wv in weights]
+        wsum = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            wsum[s] = wsum[s ^ low] + weights[low.bit_length() - 1]
+        for s in range(1, size):
+            tie = s.bit_count() << t_at
+            best = -1
             best_v = -1
             m = s
             while m:
@@ -128,29 +197,17 @@ def exact_median_order(
                 v = low.bit_length() - 1
                 prev = s ^ low
                 inter = prev & in_masks[v]
-                sw = 0
-                cnt = 0
-                mm = inter
-                while mm:
-                    l2 = mm & -mm
-                    mm ^= l2
-                    sw += weights[l2.bit_length() - 1]
-                    cnt += 1
-                pv = value[prev]
-                cand = (
-                    pv[0] + weights[v] * sw,
-                    pv[1] + (pos if tie_mask >> v & 1 else 0),
-                    pv[2] + sw + cnt * weights[v],
-                    pv[3] + cnt,
-                )
-                if best is None or cand >= best:
+                cand = value[prev] + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
+                if tie_mask & low:
+                    cand += tie
+                if cand >= best:
                     best = cand
                     best_v = v
             value[s] = best
             parent[s] = best_v
         final = value[size - 1]
-        total = Fraction(final[0], scale * scale)
-        tie_score = final[1] if tie_mask else None
+        total = Fraction(final >> a_at, scale * scale)
+        tie_score = (final >> t_at) & ((1 << tshift) - 1) if tie_mask else None
 
     order = []
     s = size - 1
@@ -291,14 +348,13 @@ class OrderAnalysis:
     """
 
     order: LinearOrder
-    forward_weight: Fraction
     feed: int
     out_of_feed: VertexSet
     good: VertexSet
     bad: VertexSet
 
 
-def analyze(d: Digraph, order: Sequence[int], w: Weighting | None = None) -> OrderAnalysis:
+def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
     order = _check_order(d, order)
     if not order:
         raise ValueError("cannot analyze an empty order")
@@ -316,7 +372,6 @@ def analyze(d: Digraph, order: Sequence[int], w: Weighting | None = None) -> Ord
             bad.append(u)
     return OrderAnalysis(
         order=order,
-        forward_weight=forward_weight(d, order, w),
         feed=f,
         out_of_feed=mask_to_set(out_mask),
         good=tuple(sorted(good)),
@@ -338,7 +393,7 @@ def sed(
     """
     order = _check_order(d, order)
     ws = resolve_weights(d, w)
-    ana = analyze(d, order, ws)
+    ana = analyze(d, order)
     f = ana.feed
     if ci is None:
         ci = component_index(d)
@@ -398,7 +453,7 @@ def sediment(
         cur = orders[-1]
         nxt = sed(d, cur, ws, ci)
         if nxt == cur:
-            ana = analyze(d, cur, ws)
+            ana = analyze(d, cur)
             jset = set(j_of(d, ana.feed, ci))
             out_side = ws.total(v for v in ana.out_of_feed if v not in jset)
             good_side = ws.total(v for v in ana.good if v not in jset)

@@ -154,7 +154,7 @@ def test_ac5_sedimentation_preserves_optimum():
             vals[rng.randrange(n)] = Fraction(rng.randint(1, 3), rng.randint(1, 3))
         w = Weighting(vals)
         order = good_median_order(d, w)
-        ana = analyze(d, order, w)
+        ana = analyze(d, order)
         ws = resolve_weights(d, w)
         jset = set(j_of(d, ana.feed, component_index(d)))
         lhs = ws.total(set(d.neighbors(ana.feed, "out")) - jset)

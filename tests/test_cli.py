@@ -43,6 +43,21 @@ def test_median_reports_feedback(capsys):
     assert rec["detail"]["feedback"] is True
 
 
+def test_cap_exact_at_the_ceiling_is_accepted(capsys):
+    code, out = run(["median", "TT3", "--cap-exact", "20", "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["detail"]["mode"] == "exact"
+
+
+def test_cap_exact_above_the_ceiling_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["median", "TT3", "--cap-exact", "21"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "ceiling 20" in err
+
+
 def test_sediment_c3_periodic(capsys):
     code, out = run(
         ["sediment", "C3", "--order", "0,1,2", "--format", "machine"], capsys

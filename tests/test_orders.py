@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seymour.digraph import Weighting
+from seymour.digraph import Digraph, Weighting
 from seymour.errors import ExactBoundExceededError
 from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
 from seymour.orders import (
+    MAX_EXACT_CAP,
     analyze,
     exact_median_order,
     forward_weight,
@@ -41,6 +43,17 @@ def test_exact_median_examples():
 def test_exact_median_respects_cap():
     with pytest.raises(ExactBoundExceededError):
         exact_median_order(random_tournament(6, 0), cap=5)
+
+
+def test_exact_median_refuses_more_than_the_ceiling():
+    # raised before any 2**n table is built, so no DP runs here
+    n = MAX_EXACT_CAP + 1
+    d = Digraph(n, [(v, v + 1) for v in range(n - 1)])
+    for cap in (n, 25, 10**6):
+        with pytest.raises(ExactBoundExceededError, match=f"capped at 20 vertices, got {n}"):
+            exact_median_order(d, cap=cap)
+        with pytest.raises(ExactBoundExceededError):
+            exact_median_order(d, tiebreak=[0], cap=cap)
 
 
 def test_feedback_examples():
@@ -175,3 +188,41 @@ def test_lemma1_style_inequality_on_good_instances(seed, n):
     bound = ws.total(set(ana.good) - jset)
     for x in jset:
         assert ws.total(set(d.neighbors(x, "out")) - jset) <= bound
+
+
+@st.composite
+def tiebroken_instance(draw):
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 10**4))
+    if draw(st.booleans()):
+        d = random_tournament(n, seed)
+    else:
+        d = random_digraph(n, seed, draw(st.sampled_from([0.4, 0.8])))
+    kind = draw(st.sampled_from(["unit", "uniform", "zero", "mixed"]))
+    if kind == "unit":
+        w = None
+    elif kind == "uniform":
+        w = Weighting([Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))] * n)
+    else:
+        top = 0 if kind == "zero" else 4
+        nums = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        w = Weighting([Fraction(a, draw(st.integers(1, 3))) for a in nums])
+    tie = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3), unique=True))
+    return d, w, tie
+
+
+@given(tiebroken_instance())
+@settings(max_examples=60, deadline=None)
+def test_exact_tiebreak_matches_brute_force(dwt):
+    d, w, tie = dwt
+    res = exact_median_order(d, w, tiebreak=tie)
+
+    def tie_sum(order):
+        return sum(order.index(v) + 1 for v in tie)
+
+    scored = [(brute_forward_weight(d, o, w), o) for o in permutations(range(d.n))]
+    best = max(value for value, _ in scored)
+    assert res.value == best
+    assert res.tie_score == max(tie_sum(o) for value, o in scored if value == best)
+    assert brute_forward_weight(d, res.order, w) == best
+    assert tie_sum(res.order) == res.tie_score
