@@ -6,8 +6,8 @@ come from a file path, a fixture name, or an inline instance spec
 with the SNCWB_ prefix (SNCWB_CAP_EXACT, SNCWB_SEED, SNCWB_BUDGET,
 SNCWB_FORMAT, SNCWB_OUT, SNCWB_JOBS); explicit flags win.
 
-Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure,
-2 = usage or parse error.
+Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
+or any other internal fault, 2 = usage or parse error.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import replace
 
 from . import forge, theorems
 from .dependency import Analysis, good_edges
 from .digraph import Digraph, Weighting
-from .errors import (
-    ConsistencyError,
-    HypothesisFailedError,
-    ParseError,
-    SeymourError,
-)
+from .errors import HypothesisFailedError, ParseError, SeymourError
 from .instfile import emit_instance, parse_instance
 from .orders import (
     MAX_EXACT_CAP,
@@ -51,8 +48,11 @@ EXHAUSTIVE_FAMILIES = (
 SWEEP_FAMILIES = EXHAUSTIVE_FAMILIES + forge.SEARCH_PREDICATES
 
 
+WEIGHTS_IGNORED = "instance weights ignored: theorem procedures are unweighted"
+
+
 class UsageError(Exception):
-    pass
+    """A bad command line or instance spec; exits 2."""
 
 
 def _env_default(name: str, fallback):
@@ -62,6 +62,15 @@ def _env_default(name: str, fallback):
     if isinstance(fallback, int):
         return int(raw)
     return raw
+
+
+def _build_spec(tokens: list[str]) -> tuple[Digraph, str]:
+    """Digraph and canonical text of an instance spec; bad specs are usage errors."""
+    try:
+        spec = forge.InstanceSpec.parse(tokens)
+        return forge.build(spec), spec.text()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_instance(source: str) -> tuple[Digraph, Weighting | None, str]:
@@ -74,8 +83,8 @@ def _load_instance(source: str) -> tuple[Digraph, Weighting | None, str]:
         return d, w, source
     if source in forge.FIXTURE_NAMES:
         return forge.fixture(source), None, f"fixture {source}"
-    spec = forge.InstanceSpec.parse(source.split())
-    return forge.build(spec), None, spec.text()
+    d, text = _build_spec(source.split())
+    return d, None, text
 
 
 def _order_arg(text: str | None, n: int) -> tuple[int, ...]:
@@ -230,7 +239,7 @@ def _verify_record(theorem_id: str, d: Digraph, source: str, cap: int) -> Instan
             {"theorem": theorem_id, "clause": exc.clause, "evidence": exc.evidence},
             (), time.perf_counter() - start,
         )
-    except (ConsistencyError, SeymourError) as exc:
+    except SeymourError as exc:
         return InstanceRecord(
             d.fingerprint(), source, FAILED,
             {"theorem": theorem_id, "error": f"{type(exc).__name__}: {exc}"},
@@ -252,11 +261,14 @@ def _verify_record(theorem_id: str, d: Digraph, source: str, cap: int) -> Instan
 
 
 def cmd_verify(args) -> Report:
-    d, _, source = _load_instance(args.instance)
+    d, w, source = _load_instance(args.instance)
     report = Report(
         "verify", _config(args, theorem=args.theorem_id, instance=source)
     )
-    report.add(_verify_record(args.theorem_id, d, source, args.cap_exact))
+    record = _verify_record(args.theorem_id, d, source, args.cap_exact)
+    if w is not None:
+        record = replace(record, findings=record.findings + (WEIGHTS_IGNORED,))
+    report.add(record)
     return report
 
 
@@ -288,20 +300,9 @@ def _sweep_exhaustive(args, report: Report) -> None:
         case = _snp_nonempty_case
         label = "snp set nonempty"
     evaluated = 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(case, payloads, chunksize=256)
-            for n, arcs, ok in results:
-                evaluated += 1
-                if not ok:
-                    d = Digraph(n, arcs)
-                    report.add(InstanceRecord(
-                        d.fingerprint(), args.family, FAILED,
-                        {"arcs": list(arcs), "check": label},
-                    ))
-    else:
-        for payload in payloads:
-            n, arcs, ok = case(payload)
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = pool.map(case, payloads, chunksize=256) if pool else map(case, payloads)
+        for n, arcs, ok in results:
             evaluated += 1
             if not ok:
                 d = Digraph(n, arcs)
@@ -334,8 +335,7 @@ def cmd_sweep(args) -> Report:
 
 
 def cmd_gen(args) -> int:
-    spec = forge.InstanceSpec.parse(args.spec)
-    d = forge.build(spec)
+    d, _ = _build_spec(args.spec)
     _write(emit_instance(d), args.out)
     return 0
 
@@ -426,10 +426,10 @@ def main(argv=None) -> int:
         )
     try:
         result = args.handler(args)
-    except (ParseError, UsageError, ValueError) as exc:
+    except (ParseError, UsageError) as exc:
         print(f"seymour: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, SeymourError) as exc:
+    except (SeymourError, ValueError) as exc:
         print(f"seymour: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, int):

@@ -11,6 +11,11 @@ interval feedback property:
         w(N-_[i,j](v_j)) >= w(N+_[i,j](v_j))
 
 where neighborhood weights are vertex-set weights inside the interval.
+One scan finds the first violation; `satisfies_feedback` reports it and
+`local_median_order` repairs it.  The scan, local repair and the
+sedimentation comparison of w(N+(f) \\ J) with w(good \\ J) run on
+integer weights scaled by the common denominator, which orders every
+sum exactly as the rational weights do.
 
 The exact solver additionally optimizes an epsilon-augmented weight
 (w + eps, compared lexicographically) so its output satisfies the feedback
@@ -225,42 +230,62 @@ class FeedbackReport:
     violation: tuple[int, int] | None  # 1-based (i, j), first by (i asc, j desc)
 
 
+def _int_weights(d: Digraph, w: Weighting | None) -> list[int]:
+    """Integer weights proportional to w; unit weights when w is None."""
+    if w is None:
+        return [1] * d.n
+    return _scaled_int_weights(resolve_weights(d, w))[0]
+
+
+def _first_violation(
+    d: Digraph, order: Sequence[int], weights: Sequence[int]
+) -> tuple[int, int, str] | None:
+    """First interval feedback violation, 0-based, by (i asc, j desc, head first).
+
+    A head violation (i, j) has w(N+(v_i)) < w(N-(v_i)) inside [i, j], so
+    moving v_i to position j gains; a tail violation has
+    w(N-(v_j)) < w(N+(v_j)) inside [i, j], so moving v_j to position i gains.
+    """
+    n = len(order)
+    tail = None
+    for j in range(n):
+        out_m, in_m = d.out_mask(order[j]), d.in_mask(order[j])
+        s = 0  # w(N+) - w(N-) inside [i, j]
+        for i in range(j - 1, -1, -1):
+            u = order[i]
+            if out_m >> u & 1:
+                s += weights[u]
+            elif in_m >> u & 1:
+                s -= weights[u]
+            if s > 0 and (tail is None or i <= tail[0]):
+                tail = (i, j)
+    for i in range(n if tail is None else tail[0] + 1):
+        out_m, in_m = d.out_mask(order[i]), d.in_mask(order[i])
+        s = 0
+        head = None
+        for j in range(i + 1, n):
+            u = order[j]
+            if out_m >> u & 1:
+                s += weights[u]
+            elif in_m >> u & 1:
+                s -= weights[u]
+            if s < 0:
+                head = j
+        if head is not None and (tail is None or i < tail[0] or head >= tail[1]):
+            return i, head, "head"
+    return None if tail is None else (*tail, "tail")
+
+
 def satisfies_feedback(
     d: Digraph, order: Sequence[int], w: Weighting | None = None
 ) -> FeedbackReport:
     """Check the interval feedback property of an order."""
     order = _check_order(d, order)
-    ws = resolve_weights(d, w)
-    n = len(order)
-    violations = []
-    for i in range(n):
-        vi = order[i]
-        out_s = Fraction(0)
-        in_s = Fraction(0)
-        for j in range(i, n):
-            u = order[j]
-            if d.has_arc(vi, u):
-                out_s += ws[u]
-            elif d.has_arc(u, vi):
-                in_s += ws[u]
-            if out_s < in_s:
-                violations.append((i + 1, j + 1))
-    for j in range(n):
-        vj = order[j]
-        out_s = Fraction(0)
-        in_s = Fraction(0)
-        for i in range(j, -1, -1):
-            u = order[i]
-            if d.has_arc(vj, u):
-                out_s += ws[u]
-            elif d.has_arc(u, vj):
-                in_s += ws[u]
-            if in_s < out_s:
-                violations.append((i + 1, j + 1))
-    if not violations:
+    found = _first_violation(d, order, _int_weights(d, w))
+    if found is None:
         return FeedbackReport(True, None)
-    first = min(violations, key=lambda ij: (ij[0], -ij[1]))
-    return FeedbackReport(False, first)
+    i, j, _ = found
+    return FeedbackReport(False, (i + 1, j + 1))
 
 
 def _eps_triple(d: Digraph, order: Sequence[int], weights: Sequence[int]):
@@ -268,8 +293,9 @@ def _eps_triple(d: Digraph, order: Sequence[int], weights: Sequence[int]):
     w1 = 0
     w2 = 0
     for i, u in enumerate(order):
+        out_m = d.out_mask(u)
         for v in order[i + 1 :]:
-            if d.has_arc(u, v):
+            if out_m >> v & 1:
                 w0 += weights[u] * weights[v]
                 w1 += weights[u] + weights[v]
                 w2 += 1
@@ -286,57 +312,21 @@ def local_median_order(
     the result satisfies the feedback property.
     """
     order = list(_check_order(d, init))
-    ws = resolve_weights(d, w)
-    weights, _ = _scaled_int_weights(ws)
+    weights = _int_weights(d, w)
     current = _eps_triple(d, order, weights)
     while True:
-        move = _first_violation_move(d, order, ws)
-        if move is None:
+        found = _first_violation(d, order, weights)
+        if found is None:
             return tuple(order)
-        kind, i, j = move
+        i, j, kind = found
         if kind == "head":
-            v = order.pop(i)
-            order.insert(j, v)
+            order.insert(j, order.pop(i))
         else:
-            v = order.pop(j)
-            order.insert(i, v)
+            order.insert(i, order.pop(j))
         new = _eps_triple(d, order, weights)
         if not new > current:
             raise ConsistencyError("repair move failed to increase forward weight")
         current = new
-
-
-def _first_violation_move(d: Digraph, order: Sequence[int], ws: Weighting):
-    n = len(order)
-    moves = []
-    for i in range(n):
-        vi = order[i]
-        out_s = Fraction(0)
-        in_s = Fraction(0)
-        for j in range(i, n):
-            u = order[j]
-            if d.has_arc(vi, u):
-                out_s += ws[u]
-            elif d.has_arc(u, vi):
-                in_s += ws[u]
-            if out_s < in_s:
-                moves.append((i, -j, "head"))
-    for j in range(n):
-        vj = order[j]
-        out_s = Fraction(0)
-        in_s = Fraction(0)
-        for i in range(j, -1, -1):
-            u = order[i]
-            if d.has_arc(vj, u):
-                out_s += ws[u]
-            elif d.has_arc(u, vj):
-                in_s += ws[u]
-            if in_s < out_s:
-                moves.append((i, -j, "tail"))
-    if not moves:
-        return None
-    i, nj, kind = min(moves, key=lambda m: (m[0], m[1], m[2]))
-    return kind, i, -nj
 
 
 @dataclass(frozen=True)
@@ -379,6 +369,17 @@ def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
     )
 
 
+def _sed_balance(
+    d: Digraph, order: LinearOrder, weights: Sequence[int], ci: ComponentIndex
+) -> tuple[OrderAnalysis, set[int], int]:
+    """Analysis of order, J = J(feed), and w(N+(feed) \\ J) - w(good \\ J)."""
+    ana = analyze(d, order)
+    jset = set(j_of(d, ana.feed, ci))
+    out_side = sum(weights[v] for v in ana.out_of_feed if v not in jset)
+    good_side = sum(weights[v] for v in ana.good if v not in jset)
+    return ana, jset, out_side - good_side
+
+
 def sed(
     d: Digraph,
     order: Sequence[int],
@@ -392,17 +393,13 @@ def sed(
     move to the front, J follows, and the rest keep their relative order.
     """
     order = _check_order(d, order)
-    ws = resolve_weights(d, w)
-    ana = analyze(d, order)
-    f = ana.feed
+    weights = _int_weights(d, w)
     if ci is None:
         ci = component_index(d)
-    jset = set(j_of(d, f, ci))
-    out_side = ws.total(v for v in ana.out_of_feed if v not in jset)
-    good_side = ws.total(v for v in ana.good if v not in jset)
-    if out_side < good_side:
+    ana, jset, balance = _sed_balance(d, order, weights, ci)
+    if balance < 0:
         return order
-    if out_side > good_side:
+    if balance > 0:
         raise ConsistencyError(
             "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
         )
@@ -443,7 +440,7 @@ def sediment(
 ) -> SedimentationTrace:
     """Iterate sed until a strict inequality (stable) or a repeat (periodic)."""
     order = _check_order(d, order)
-    ws = resolve_weights(d, w)
+    weights = _int_weights(d, w)
     ci = component_index(d)
     if budget is None:
         budget = default_sediment_budget(d.n)
@@ -451,13 +448,9 @@ def sediment(
     seen = {order: 0}
     for q in range(budget):
         cur = orders[-1]
-        nxt = sed(d, cur, ws, ci)
+        nxt = sed(d, cur, w, ci)
         if nxt == cur:
-            ana = analyze(d, cur)
-            jset = set(j_of(d, ana.feed, ci))
-            out_side = ws.total(v for v in ana.out_of_feed if v not in jset)
-            good_side = ws.total(v for v in ana.good if v not in jset)
-            if out_side < good_side:
+            if _sed_balance(d, cur, weights, ci)[2] < 0:
                 return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
             # equality with a fixed order: period 1
             return SedimentationTrace(

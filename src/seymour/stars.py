@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .digraph import Arc, Digraph, VertexSet
 from .errors import NotDisjointStarsError
 
 Edge = frozenset  # frozenset({u, v}) naming a missing edge
+
+# center_assignments stops after this many readings (2 per matching edge)
+MAX_READINGS = 256
 
 
 def edge(u: int, v: int) -> Edge:
@@ -110,20 +113,14 @@ def decompose(d: Digraph) -> StarDecomposition:
     return StarDecomposition(tuple(stars), tuple(matching))
 
 
-def center_assignments(
-    dec: StarDecomposition, limit: int = 256
-) -> Iterator[tuple[Star, ...]]:
-    """All readings of the decomposition as a tuple of stars.
+def center_assignments(dec: StarDecomposition) -> Iterator[tuple[Star, ...]]:
+    """The readings of the decomposition as tuples of stars, at most MAX_READINGS.
 
     Multi-leaf stars have a forced center; each matching edge yields two
-    candidate readings.  The enumeration is capped to avoid blowups.
+    candidate readings, so there are 2 ** len(dec.matching) in all.
     """
     choices = [(Star(u, (v,)), Star(v, (u,))) for u, v in dec.matching]
-    count = 0
-    for combo in product(*choices):
-        count += 1
-        if count > limit:
-            return
+    for combo in islice(product(*choices), MAX_READINGS):
         yield dec.stars + tuple(combo)
 
 

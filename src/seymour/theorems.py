@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from .digraph import Digraph, Weighting, resolve_weights, VertexSet
 from .stars import (
+    MAX_READINGS,
     Edge,
     Star,
     StarDecomposition,
@@ -219,7 +220,11 @@ def gate_kings_stars(a: Analysis) -> GateResult:
         return _gate("kings-stars", checks)
     reading = _kings_reading(a)
     if reading is None:
-        evidence = "no center assignment induces an all-kings tournament"
+        readings = 2 ** len(a.dec.matching)
+        cut = ""
+        if readings > MAX_READINGS:
+            cut = f" among the first {MAX_READINGS} of {readings} readings"
+        evidence = f"no center assignment{cut} induces an all-kings tournament"
     elif reading:
         evidence = f"centers {[s.center for s in reading]} induce an all-kings tournament"
     else:

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from seymour.cli import main
+from seymour.cli import WEIGHTS_IGNORED, main
+from seymour.digraph import Weighting
+from seymour.forge import fixture
+from seymour.instfile import emit_instance
 from seymour.reporting import InstanceRecord, Report, emit_report
 
 
@@ -107,6 +110,50 @@ def test_parse_error_exits_two(tmp_path, capsys):
 
 def test_unknown_spec_exits_two(capsys):
     assert main(["oracle", "mystery n=3"]) == 2
+
+
+def test_internal_value_error_exits_one(monkeypatch, capsys):
+    def broken(d, w=None):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("seymour.cli.snp_set", broken)
+    assert main(["oracle", "C3"]) == 1
+    assert "ValueError: internal fault" in capsys.readouterr().err
+
+
+def test_unrealizable_spec_exits_two(capsys):
+    assert main(["gen", "all-kings", "n=4"]) == 2
+    assert "seymour:" in capsys.readouterr().err
+
+
+def test_verify_reports_ignored_weights(tmp_path, capsys):
+    path = tmp_path / "weighted.txt"
+    d = fixture("ST1")
+    path.write_text(emit_instance(d, Weighting(["3/2"] + ["1"] * (d.n - 1))))
+    code, out = run(["verify", "single-star", str(path), "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "verified"
+    assert rec["findings"] == [WEIGHTS_IGNORED]
+    code, out = run(["verify", "single-star", "ST1", "--format", "machine"], capsys)
+    assert json.loads(out)["records"][0]["findings"] == []
+
+
+def _without_timing(report: dict) -> dict:
+    report["config"].pop("jobs")
+    for rec in report["records"]:
+        rec.pop("seconds")
+    return report
+
+
+@pytest.mark.parametrize("family", ["tournaments-n4", "digraphs-n4"])
+def test_exhaustive_sweep_with_two_jobs_matches_serial(family, capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        code, out = run(["sweep", family, "--jobs", jobs, "--format", "machine"], capsys)
+        assert code == 0
+        reports.append(_without_timing(json.loads(out)))
+    assert reports[0] == reports[1]
 
 
 def test_sweep_filtered_family(capsys):

@@ -18,6 +18,7 @@ from seymour.theorems import (
     THEOREMS,
     all_kings,
     check_hypotheses,
+    gate_kings_stars,
     has_snp,
     havet_thomasse_witnesses,
     is_king,
@@ -84,6 +85,21 @@ def test_kings_stars_gate_fails_on_c4x():
     # tournament on 2 vertices
     with pytest.raises(HypothesisFailedError):
         THEOREMS["kings-stars"](fixture("C4X"))
+
+
+def test_kings_stars_gate_names_the_reading_cap():
+    # transitive tournament on 18 vertices minus {2i, 2i+1}: 9 matching
+    # edges, 512 readings, of which the gate tries MAX_READINGS = 256
+    n = 18
+    d = Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2])
+    (_, centers, _) = gate_kings_stars(Analysis(d)).checks
+    assert not centers.ok
+    assert centers.evidence == (
+        "no center assignment among the first 256 of 512 readings"
+        " induces an all-kings tournament"
+    )
+    (_, centers, _) = gate_kings_stars(Analysis(fixture("C4X"))).checks
+    assert centers.evidence == "no center assignment induces an all-kings tournament"
 
 
 def test_kings_stars_certifies_every_tournament_on_five_vertices():
