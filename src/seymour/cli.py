@@ -4,7 +4,8 @@ Commands: oracle, median, sediment, delta, verify, sweep, gen.  Instances
 come from a file path, a fixture name, or an inline instance spec
 (`kind key=value ...`).  Flags can be preset through environment variables
 with the SNCWB_ prefix (SNCWB_CAP_EXACT, SNCWB_SEED, SNCWB_BUDGET,
-SNCWB_FORMAT, SNCWB_OUT, SNCWB_JOBS); explicit flags win.
+SNCWB_FORMAT, SNCWB_OUT, SNCWB_JOBS); explicit flags win, and a bad
+preset is a usage error like a bad flag.
 
 Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
 or any other internal fault, 2 = usage or parse error.
@@ -38,6 +39,7 @@ from .stars import edge_pair
 from .theorems import THEOREM_IDS, THEOREMS, has_snp, snp_set
 
 ENV_PREFIX = "SNCWB_"
+FORMATS = ("human", "machine")
 
 EXHAUSTIVE_FAMILIES = (
     "tournaments-n4",
@@ -56,12 +58,12 @@ class UsageError(Exception):
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    if isinstance(fallback, int):
-        return int(raw)
-    return raw
+    """The raw SNCWB_ preset of a flag, else fallback.
+
+    argparse applies a flag's type to a string default, so a bad integer
+    preset is a usage error like a bad flag; choices are checked in main.
+    """
+    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
 def _build_spec(tokens: list[str]) -> tuple[Digraph, str]:
@@ -182,7 +184,7 @@ def cmd_sediment(args) -> Report:
     report = Report("sediment", _config(args, instance=source))
     start = time.perf_counter()
     order = _order_arg(args.order, d.n)
-    trace = sediment(d, order, w, budget=args.budget)
+    trace = sediment(Analysis(d), order, w, budget=args.budget)
     out = trace.outcome
     detail = {
         "outcome": out.kind,
@@ -208,21 +210,24 @@ def cmd_delta(args) -> Report:
     start = time.perf_counter()
     analysis = Analysis(d)
     dd, ci = analysis.dd, analysis.ci
+    # goodness is defined for disjoint-star missing graphs only
+    stars = analysis.dec is not None
     detail = {
         "missing-edges": [edge_pair(e) for e in dd.edges],
         "delta-arcs": [(edge_pair(a), edge_pair(b)) for a, b in dd.arcs],
-        "good-edges": [edge_pair(e) for e in good_edges(d, dd)],
+        "good-edges": [edge_pair(e) for e in good_edges(dd)],
         "components": [
             [edge_pair(e) for e in comp] for comp in ci.components
         ],
         "k-sets": [list(k) for k in ci.k_sets],
         "min-out-degree": dd.min_out_degree,
         "min-in-degree": dd.min_in_degree,
-        "good-digraph": analysis.goodness.is_good,
+        "good-digraph": analysis.goodness.is_good if stars else None,
     }
     report.add(
         InstanceRecord(
-            d.fingerprint(), source, VERIFIED, detail, (),
+            d.fingerprint(), source, VERIFIED if stars else GATED, detail,
+            () if stars else (analysis.dec_error,),
             time.perf_counter() - start,
         )
     )
@@ -359,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="iteration budget for searches and sedimentation (default 1000)",
     )
     common.add_argument(
-        "--format", choices=("human", "machine"),
+        "--format", choices=FORMATS,
         default=_env_default("format", "human"),
         help="report format (default human)",
     )
@@ -418,6 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:
+        parser.error(f"{ENV_PREFIX}FORMAT {args.format!r} is not one of {', '.join(FORMATS)}")
     if args.cap_exact < 1 or args.budget < 1 or args.jobs < 1:
         parser.exit(2, "caps, budgets, and jobs must be >= 1\n")
     if args.cap_exact > MAX_EXACT_CAP:

@@ -26,9 +26,6 @@ class LosingWitness:
     x2: int
     y2: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
 
 def loses_to(d: Digraph, e1, e2) -> LosingWitness | None:
     """First role assignment making e1 lose to e2, or None.
@@ -124,7 +121,7 @@ def dependency_digraph(d: Digraph) -> DependencyDigraph:
     )
 
 
-def good_edges(d: Digraph, dd: DependencyDigraph) -> tuple[Edge, ...]:
+def good_edges(dd: DependencyDigraph) -> tuple[Edge, ...]:
     """Missing edges no edge loses to (in-degree 0 in the dependency digraph)."""
     return tuple(e for e in dd.edges if dd.in_degree(e) == 0)
 
@@ -281,13 +278,8 @@ def j_of(d: Digraph, v: int, ci: ComponentIndex) -> VertexSet:
     """J(v): {v} for whole vertices, else the K(xi) of ci containing v."""
     if d.is_whole(v):
         return (v,)
-    xi = ci.xi_of_vertex(v)
-    if xi is None:
-        # non-whole vertex outside every K(xi): its missing edges never appear
-        # in the dependency digraph vertex set only if there are none, which
-        # cannot happen; guard anyway.
-        return (v,)
-    return ci.k_of_xi[xi]
+    # a missing edge at v is a vertex of Delta, so some K(xi) holds v
+    return ci.k_of_xi[ci.xi_of_vertex(v)]
 
 
 @dataclass(frozen=True)
@@ -303,7 +295,7 @@ def goodness(d: Digraph, ci: ComponentIndex) -> GoodnessReport:
 
 def is_good_digraph(d: Digraph) -> bool:
     """True when every K(xi) is an interval of d."""
-    return goodness(d, component_index(d)).is_good
+    return Analysis(d).goodness.is_good
 
 
 class Analysis:
@@ -314,8 +306,10 @@ class Analysis:
     ci:       component index of the dependency digraph, whose Delta is dd;
     goodness: the interval verdict of every K(xi).
 
-    Gates and procedures of one instance share one Analysis, so no
-    structure is rebuilt between them.
+    Gates, procedures and the order layer (good_median_order, sed,
+    sediment) of one instance share one Analysis, so no structure is
+    rebuilt between them; in the library only Analysis.ci builds a
+    component index.
     """
 
     def __init__(self, d: Digraph) -> None:

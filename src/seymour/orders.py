@@ -17,6 +17,12 @@ sedimentation comparison of w(N+(f) \\ J) with w(good \\ J) run on
 integer weights scaled by the common denominator, which orders every
 sum exactly as the rational weights do.
 
+Good median orders and sedimentation are facts about one instance, so
+they take its `Analysis` and read J(feed), goodness and the K(xi) blocks
+from its component index: `good_median_order(Analysis(d))`,
+`sediment(Analysis(d), order)`, `sed(a, order)`.  In the library only
+`Analysis` builds a component index.
+
 The exact solver additionally optimizes an epsilon-augmented weight
 (w + eps, compared lexicographically) so its output satisfies the feedback
 property even when some vertex weights are zero.  Arc (u, v) then weighs
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dependency import ComponentIndex, component_index, goodness, j_of
+from .dependency import Analysis, j_of
 from .digraph import Digraph, VertexSet, Weighting, mask_to_set, resolve_weights
 from .errors import ConsistencyError, ExactBoundExceededError, NotGoodDigraphError
 
@@ -370,33 +376,25 @@ def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
 
 
 def _sed_balance(
-    d: Digraph, order: LinearOrder, weights: Sequence[int], ci: ComponentIndex
+    a: Analysis, order: LinearOrder, weights: Sequence[int]
 ) -> tuple[OrderAnalysis, set[int], int]:
     """Analysis of order, J = J(feed), and w(N+(feed) \\ J) - w(good \\ J)."""
-    ana = analyze(d, order)
-    jset = set(j_of(d, ana.feed, ci))
+    ana = analyze(a.d, order)
+    jset = set(j_of(a.d, ana.feed, a.ci))
     out_side = sum(weights[v] for v in ana.out_of_feed if v not in jset)
     good_side = sum(weights[v] for v in ana.good if v not in jset)
     return ana, jset, out_side - good_side
 
 
-def sed(
-    d: Digraph,
-    order: Sequence[int],
-    w: Weighting | None = None,
-    ci: ComponentIndex | None = None,
-) -> LinearOrder:
-    """One sedimentation step of a good median order.
+def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> LinearOrder:
+    """One sedimentation step of a good median order of a.d.
 
     With feed f and J = J(f): if w(N+(f) \\ J) < w(G_L \\ J) the order is
     returned unchanged (stable step); on equality the bad vertices outside J
     move to the front, J follows, and the rest keep their relative order.
     """
-    order = _check_order(d, order)
-    weights = _int_weights(d, w)
-    if ci is None:
-        ci = component_index(d)
-    ana, jset, balance = _sed_balance(d, order, weights, ci)
+    order = _check_order(a.d, order)
+    ana, jset, balance = _sed_balance(a, order, _int_weights(a.d, w))
     if balance < 0:
         return order
     if balance > 0:
@@ -433,24 +431,23 @@ def default_sediment_budget(n: int) -> int:
 
 
 def sediment(
-    d: Digraph,
+    a: Analysis,
     order: Sequence[int],
     w: Weighting | None = None,
     budget: int | None = None,
 ) -> SedimentationTrace:
-    """Iterate sed until a strict inequality (stable) or a repeat (periodic)."""
-    order = _check_order(d, order)
-    weights = _int_weights(d, w)
-    ci = component_index(d)
+    """Iterate sed on a.d until a strict inequality (stable) or a repeat (periodic)."""
+    order = _check_order(a.d, order)
+    weights = _int_weights(a.d, w)
     if budget is None:
-        budget = default_sediment_budget(d.n)
+        budget = default_sediment_budget(a.d.n)
     orders = [order]
     seen = {order: 0}
     for q in range(budget):
         cur = orders[-1]
-        nxt = sed(d, cur, w, ci)
+        nxt = sed(a, cur, w)
         if nxt == cur:
-            if _sed_balance(d, cur, weights, ci)[2] < 0:
+            if _sed_balance(a, cur, weights)[2] < 0:
                 return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
             # equality with a fixed order: period 1
             return SedimentationTrace(
@@ -469,29 +466,23 @@ def sediment(
 
 
 def good_median_order(
-    d: Digraph,
-    w: Weighting | None = None,
-    exactness: str = "exact",
-    cap: int = DEFAULT_EXACT_CAP,
+    a: Analysis, w: Weighting | None = None, cap: int = DEFAULT_EXACT_CAP
 ) -> LinearOrder:
-    """Median order of a good digraph with every K(xi) contiguous.
+    """Median order of the good digraph a.d with every K(xi) contiguous.
 
-    Exact mode orders the quotient (one block per K(xi), singleton blocks for
-    the remaining vertices) optimally and each block internally optimally;
-    the result's forward weight is checked against the unconstrained optimum.
-    Local mode applies local_median_order at both levels.
+    The quotient (one block per K(xi), singleton blocks for the remaining
+    vertices) is ordered optimally and each block internally optimally; when
+    a.d has at most cap vertices, the result's forward weight is checked
+    against the unconstrained optimum.
     """
-    if exactness not in ("exact", "local"):
-        raise ValueError(f"exactness must be 'exact' or 'local', got {exactness!r}")
+    d = a.d
     ws = resolve_weights(d, w)
-    ci = component_index(d)
-    report = goodness(d, ci)
-    if not report.is_good:
-        bad = [k for k, ok in report.verdicts if not ok]
+    if not a.goodness.is_good:
+        bad = [k for k, ok in a.goodness.verdicts if not ok]
         raise NotGoodDigraphError(f"K(xi) sets are not intervals: {bad}")
     in_block = set()
     blocks: list[VertexSet] = []
-    for k in ci.k_of_xi:
+    for k in a.ci.k_of_xi:
         blocks.append(k)
         in_block.update(k)
     for v in range(d.n):
@@ -511,14 +502,11 @@ def good_median_order(
     quotient = Digraph(len(blocks), q_arcs)
     q_weights = Weighting([ws.total(b) for b in blocks])
 
-    if exactness == "exact":
-        if len(blocks) > cap:
-            raise ExactBoundExceededError(
-                f"quotient has {len(blocks)} blocks, exact cap is {cap}"
-            )
-        block_order = exact_median_order(quotient, q_weights, cap=cap).order
-    else:
-        block_order = local_median_order(quotient, tuple(range(len(blocks))), q_weights)
+    if len(blocks) > cap:
+        raise ExactBoundExceededError(
+            f"quotient has {len(blocks)} blocks, exact cap is {cap}"
+        )
+    block_order = exact_median_order(quotient, q_weights, cap=cap).order
 
     result: list[int] = []
     for bi in block_order:
@@ -528,18 +516,15 @@ def good_median_order(
             continue
         sub, mapping = d.induced(members)
         sub_w = Weighting([ws[v] for v in mapping])
-        if exactness == "exact":
-            if sub.n > cap:
-                raise ExactBoundExceededError(
-                    f"block of size {sub.n} exceeds exact cap {cap}"
-                )
-            inner = exact_median_order(sub, sub_w, cap=cap).order
-        else:
-            inner = local_median_order(sub, tuple(range(sub.n)), sub_w)
+        if sub.n > cap:
+            raise ExactBoundExceededError(
+                f"block of size {sub.n} exceeds exact cap {cap}"
+            )
+        inner = exact_median_order(sub, sub_w, cap=cap).order
         result.extend(mapping[i] for i in inner)
 
     order = tuple(result)
-    if exactness == "exact" and d.n <= cap:
+    if d.n <= cap:
         unconstrained = exact_median_order(d, ws, cap=cap).value
         if forward_weight(d, order, ws) != unconstrained:
             raise ConsistencyError(

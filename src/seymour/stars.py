@@ -35,10 +35,6 @@ class Star:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(edge(self.center, a) for a in self.leaves)
 
-    @property
-    def vertices(self) -> VertexSet:
-        return tuple(sorted((self.center, *self.leaves)))
-
 
 @dataclass(frozen=True)
 class StarDecomposition:

@@ -32,7 +32,6 @@ from .dependency import (
     Analysis,
     ComponentIndex,
     DependencyDigraph,
-    component_index,
     j_of,
 )
 from .orders import (
@@ -537,7 +536,8 @@ def _second_witness(
     sub, mapping = d.induced(prefix)
     inv = {v: i for i, v in enumerate(mapping)}
     sub_order = tuple(inv[v] for v in prefix)
-    run = sediment(sub, sub_order)
+    a = Analysis(sub)
+    run = sediment(a, sub_order)
     outcome = run.outcome
     if outcome.kind == "stable":
         chosen = run.final
@@ -564,10 +564,7 @@ def _second_witness(
         raise ConsistencyError(f"sedimentation exhausted its budget on {sub.n} vertices")
     feed_sub = chosen[-1]
     feed_orig = mapping[feed_sub]
-    if sub.is_whole(feed_sub):
-        jset = (feed_orig,)  # a whole vertex is its own J: no component index
-    else:
-        jset = tuple(mapping[i] for i in j_of(sub, feed_sub, component_index(sub)))
+    jset = tuple(mapping[i] for i in j_of(sub, feed_sub, a.ci))
     for w in candidates(jset, feed_orig):
         if w != first and has_snp(d, w):
             trace.append(f"second witness {w} from J {list(jset)}")
@@ -650,7 +647,7 @@ def _two_witnesses(
     if not a.goodness.is_good:
         bad = [k for k, ok in a.goodness.verdicts if not ok]
         raise GoodnessViolationError(f"{theorem_id}: D should be good, K(xi) {bad}")
-    order = good_median_order(d, cap=cap)
+    order = good_median_order(a, cap=cap)
     xn = order[-1]
     trace.append(f"good median order {list(order)}")
     jset = j_of(d, xn, a.ci)
@@ -842,7 +839,7 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
     if not a_prime.goodness.is_good:
         bad = [k for k, ok in a_prime.goodness.verdicts if not ok]
         raise GoodnessViolationError(f"D+F is not good: non-interval K(xi) {bad}")
-    order = good_median_order(d_prime, cap=cap)
+    order = good_median_order(a_prime, cap=cap)
     f = order[-1]
     trace.append(f"good median order of D+F: {list(order)}")
     findings: list[str] = []
@@ -865,7 +862,7 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
 def matching_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Two SNP vertices of a sinkless digraph missing a matching with F empty."""
     a, gate = _require(gate_matching_f_empty, d)
-    order = good_median_order(d, cap=cap)
+    order = good_median_order(a, cap=cap)
     xn = order[-1]
     trace = [f"good median order {list(order)}"]
     jset = j_of(d, xn, a.ci)

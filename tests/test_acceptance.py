@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from seymour.dependency import component_index, is_good_digraph, j_of, strong_dependency_check
+from seymour.dependency import Analysis, is_good_digraph, j_of, strong_dependency_check
 from seymour.digraph import Weighting, resolve_weights
 from seymour.forge import (
     SEARCH_PREDICATES,
@@ -153,21 +153,22 @@ def test_ac5_sedimentation_preserves_optimum():
         if rng.random() < 0.3:
             vals[rng.randrange(n)] = Fraction(rng.randint(1, 3), rng.randint(1, 3))
         w = Weighting(vals)
-        order = good_median_order(d, w)
+        a = Analysis(d)
+        order = good_median_order(a, w)
         ana = analyze(d, order)
         ws = resolve_weights(d, w)
-        jset = set(j_of(d, ana.feed, component_index(d)))
+        jset = set(j_of(d, ana.feed, a.ci))
         lhs = ws.total(set(d.neighbors(ana.feed, "out")) - jset)
         rhs = ws.total(set(ana.good) - jset)
         if lhs != rhs:
             continue
         hits += 1
-        out = sed(d, order, w)
+        out = sed(a, order, w)
         if forward_weight(d, out, w) != forward_weight(d, order, w):
             failures += 1
         elif not satisfies_feedback(d, out, w).ok:
             failures += 1
-    trace = sediment(fixture("C3"), (0, 1, 2))
+    trace = sediment(Analysis(fixture("C3")), (0, 1, 2))
     periodic3 = (
         trace.outcome.kind == "periodic" and trace.outcome.cycle_length == 3
     )

@@ -5,8 +5,9 @@ from collections import Counter
 from seymour import dependency
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph
-from seymour.forge import all_digraphs, filtered_search, fixture
-from seymour.theorems import THEOREM_IDS, _GATES, check_hypotheses
+from seymour.errors import HypothesisFailedError
+from seymour.forge import SEARCH_PREDICATES, all_digraphs, filtered_search, fixture
+from seymour.theorems import THEOREM_IDS, THEOREMS, _GATES, check_hypotheses
 
 
 def test_check_hypotheses_builds_each_structure_once(monkeypatch):
@@ -24,6 +25,35 @@ def test_check_hypotheses_builds_each_structure_once(monkeypatch):
         calls.clear()
         check_hypotheses(d)
         assert calls == {"decompose": 1, "dependency_digraph": 1}
+
+
+def test_each_procedure_builds_a_component_index_once_per_digraph(monkeypatch):
+    # every component index goes through dependency.dependency_digraph
+    rotational = Digraph(5, [(i, (i + k) % 5) for i in range(5) for k in (1, 2)])
+    corpus = [fixture("LC3"), fixture("C4X"), rotational]
+    for pred in SEARCH_PREDICATES:
+        corpus += filtered_search(pred, 9, 0, budget=200, count=4).instances
+    builds = Counter()
+    built = []  # keeps every counted digraph alive, so ids stay unique
+    original = dependency.dependency_digraph
+
+    def counted(d):
+        built.append(d)
+        builds[id(d)] += 1
+        return original(d)
+
+    monkeypatch.setattr(dependency, "dependency_digraph", counted)
+    rebuilt = set()
+    for tid, procedure in THEOREMS.items():
+        for d in corpus:
+            builds.clear()
+            try:
+                procedure(d)
+            except HypothesisFailedError:
+                continue
+            if any(count > 1 for count in builds.values()):
+                rebuilt.add(tid)
+    assert not rebuilt, sorted(rebuilt)
 
 
 def test_gates_on_a_fresh_analysis_match_check_hypotheses():

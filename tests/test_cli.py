@@ -3,7 +3,8 @@ import json
 import pytest
 
 from seymour.cli import WEIGHTS_IGNORED, main
-from seymour.digraph import Weighting
+from seymour.dependency import Analysis
+from seymour.digraph import Digraph, Weighting
 from seymour.forge import fixture
 from seymour.instfile import emit_instance
 from seymour.reporting import InstanceRecord, Report, emit_report
@@ -190,6 +191,27 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     code, out = run(["oracle", "C3"], capsys)
     assert code == 0
     assert json.loads(out)["command"] == "oracle"
+
+
+@pytest.mark.parametrize("name, value", [("SNCWB_JOBS", "x"), ("SNCWB_FORMAT", "xml")])
+def test_bad_env_preset_is_a_usage_error(name, value, capsys, monkeypatch):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "C3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and repr(value) in err
+
+
+def test_delta_on_a_non_star_missing_graph_is_gated(tmp_path, capsys):
+    path = tmp_path / "empty4.txt"
+    path.write_text("4 0\n")  # missing graph K4
+    code, out = run(["delta", str(path), "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "hypothesis-failed"
+    assert rec["detail"]["good-digraph"] is None
+    assert rec["findings"] == [Analysis(Digraph(4, [])).dec_error]
 
 
 def test_reporting_empty_run_and_exit_codes():

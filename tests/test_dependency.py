@@ -59,11 +59,11 @@ def test_witnesses_replay():
 def test_good_edges_examples():
     for name in ("C4X", "LC3"):
         d = fixture(name)
-        assert good_edges(d, dependency_digraph(d)) == ()
+        assert good_edges(dependency_digraph(d)) == ()
     t = random_tournament(5, 1)
     d = t.with_arcs(remove=[t.arcs[0]])
     (e,) = d.missing_pairs()
-    assert good_edges(d, dependency_digraph(d)) == (edge(*e),)
+    assert good_edges(dependency_digraph(d)) == (edge(*e),)
 
 
 def test_component_index_examples():
@@ -129,7 +129,7 @@ def test_strong_dependency_check_examples():
 def test_good_edge_iff_delta_in_degree_zero(seed, n):
     d = random_star_deleted(n, seed)
     dd = dependency_digraph(d)
-    goods = set(good_edges(d, dd))
+    goods = set(good_edges(dd))
     for e in dd.edges:
         has_convenient = bool(convenient_orientations(d, e))
         assert (e in goods) == (dd.in_degree(e) == 0) == has_convenient

@@ -71,8 +71,8 @@ def _sedimentation(d: Digraph, w: Weighting | None) -> dict | None:
     if d.n > SEDIMENT_MAX_N or a.dec is None or not a.goodness.is_good:
         return None
     try:
-        order = good_median_order(d, w)
-        trace = sediment(d, order, w)
+        order = good_median_order(a, w)
+        trace = sediment(a, order, w)
     except SeymourError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     out = trace.outcome

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seymour.dependency import Analysis
 from seymour.digraph import Digraph, Weighting
 from seymour.errors import ExactBoundExceededError
 from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
@@ -83,24 +84,25 @@ def test_analyze_examples():
 
 
 def test_sed_examples():
-    assert sed(fixture("C3"), (0, 1, 2)) == (2, 0, 1)
-    assert forward_weight(fixture("C3"), sed(fixture("C3"), (0, 1, 2))) == 2
-    assert sed(fixture("TT3"), (0, 1, 2)) == (0, 1, 2)
+    c3 = Analysis(fixture("C3"))
+    assert sed(c3, (0, 1, 2)) == (2, 0, 1)
+    assert forward_weight(c3.d, sed(c3, (0, 1, 2))) == 2
+    assert sed(Analysis(fixture("TT3")), (0, 1, 2)) == (0, 1, 2)
 
 
 def test_sediment_examples():
-    trace = sediment(fixture("C3"), (0, 1, 2))
+    trace = sediment(Analysis(fixture("C3")), (0, 1, 2))
     assert trace.outcome.kind == "periodic" and trace.outcome.cycle_length == 3
 
-    trace = sediment(fixture("TT3"), (0, 1, 2))
+    trace = sediment(Analysis(fixture("TT3")), (0, 1, 2))
     assert trace.outcome.kind == "periodic" and trace.outcome.cycle_length == 1
 
 
 def test_good_median_order_examples():
-    order = good_median_order(fixture("C4X"))
+    order = good_median_order(Analysis(fixture("C4X")))
     assert forward_weight(fixture("C4X"), order) == 3
     t = random_tournament(6, 4)
-    assert forward_weight(t, good_median_order(t)) == exact_median_order(t).value
+    assert forward_weight(t, good_median_order(Analysis(t))) == exact_median_order(t).value
 
 
 def test_tiebreak_maximizes_index_without_losing_weight():
@@ -166,9 +168,10 @@ def test_sed_of_median_preserves_weight(seed, n):
     from seymour.dependency import is_good_digraph
     if not is_good_digraph(d):
         return
-    order = good_median_order(d)
+    a = Analysis(d)
+    order = good_median_order(a)
     value = forward_weight(d, order)
-    out = sed(d, order)
+    out = sed(a, order)
     assert forward_weight(d, out) == value
     assert satisfies_feedback(d, out).ok
 
@@ -177,14 +180,15 @@ def test_sed_of_median_preserves_weight(seed, n):
 @settings(max_examples=80, deadline=None)
 def test_lemma1_style_inequality_on_good_instances(seed, n):
     d = random_star_deleted(n, seed)
-    from seymour.dependency import component_index, is_good_digraph, j_of
+    from seymour.dependency import is_good_digraph, j_of
     from seymour.digraph import resolve_weights
     if not is_good_digraph(d):
         return
-    order = good_median_order(d)
+    a = Analysis(d)
+    order = good_median_order(a)
     ana = analyze(d, order)
     ws = resolve_weights(d, None)
-    jset = set(j_of(d, ana.feed, component_index(d)))
+    jset = set(j_of(d, ana.feed, a.ci))
     bound = ws.total(set(ana.good) - jset)
     for x in jset:
         assert ws.total(set(d.neighbors(x, "out")) - jset) <= bound
