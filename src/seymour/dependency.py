@@ -294,7 +294,7 @@ def goodness(d: Digraph, ci: ComponentIndex) -> GoodnessReport:
 
 
 def is_good_digraph(d: Digraph) -> bool:
-    """True when every K(xi) is an interval of d."""
+    """True when the missing graph is disjoint stars and every K(xi) is an interval."""
     return Analysis(d).goodness.is_good
 
 
@@ -304,7 +304,8 @@ class Analysis:
     dec:      star decomposition of the missing graph, None when it is not
               disjoint stars (dec_error then says why);
     ci:       component index of the dependency digraph, whose Delta is dd;
-    goodness: the interval verdict of every K(xi).
+    goodness: the interval verdict of every K(xi); a digraph whose missing
+              graph is not disjoint stars is never good (no verdicts).
 
     Gates, procedures and the order layer (good_median_order, sed,
     sediment) of one instance share one Analysis, so no structure is
@@ -340,6 +341,8 @@ class Analysis:
 
     @cached_property
     def goodness(self) -> GoodnessReport:
+        if self.dec is None:
+            return GoodnessReport(False, ())
         return goodness(self.d, self.ci)
 
 

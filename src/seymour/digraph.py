@@ -8,8 +8,9 @@ results come back as sorted tuples so reports and tests are reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DigonError, LoopArcError, VertexRangeError
 
@@ -170,9 +171,6 @@ class Digraph:
                     result.append((u, v))
         return tuple(result)
 
-    def non_whole_vertices(self) -> VertexSet:
-        return tuple(v for v in range(self.n) if not self.is_whole(v))
-
     def is_interval(self, vertices: Iterable[int]) -> bool:
         """True when all members see the outside identically, in and out."""
         kset = set_to_mask(vertices)
@@ -231,9 +229,14 @@ class Digraph:
 
 
 class Weighting:
-    """Nonnegative rational vertex weights; weights default to 1."""
+    """Nonnegative rational vertex weights; weights default to 1.
 
-    __slots__ = ("_values",)
+    Construction also stores the weights as integers over one common
+    denominator, `values[v] == Fraction(ints[v], scale)`, which is the form
+    the order kernels read.
+    """
+
+    __slots__ = ("_values", "ints", "scale")
 
     def __init__(self, values: Sequence[Fraction | int | str]):
         vals = tuple(Fraction(v) for v in values)
@@ -241,19 +244,12 @@ class Weighting:
             if v < 0:
                 raise ValueError(f"negative weight {v} at vertex {i}")
         self._values = vals
+        self.scale = math.lcm(*(v.denominator for v in vals))
+        self.ints = tuple(v.numerator * (self.scale // v.denominator) for v in vals)
 
     @classmethod
     def ones(cls, n: int) -> "Weighting":
         return cls((1,) * n)
-
-    @classmethod
-    def from_map(cls, n: int, mapping: Mapping[int, Fraction | int | str]) -> "Weighting":
-        vals = [Fraction(1)] * n
-        for v, w in mapping.items():
-            if not 0 <= v < n:
-                raise VertexRangeError(f"weight for vertex {v} outside 0..{n - 1}")
-            vals[v] = Fraction(w)
-        return cls(vals)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -272,10 +268,10 @@ class Weighting:
         return self._values
 
     def is_uniform(self) -> bool:
-        return len(set(self._values)) <= 1
+        return len(set(self.ints)) <= 1
 
     def total(self, vertices: Iterable[int]) -> Fraction:
-        return sum((self._values[v] for v in vertices), Fraction(0))
+        return Fraction(sum(self.ints[v] for v in vertices), self.scale)
 
 
 def resolve_weights(d: Digraph, w: Weighting | None) -> Weighting:

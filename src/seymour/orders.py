@@ -12,10 +12,16 @@ interval feedback property:
 
 where neighborhood weights are vertex-set weights inside the interval.
 One scan finds the first violation; `satisfies_feedback` reports it and
-`local_median_order` repairs it.  The scan, local repair and the
-sedimentation comparison of w(N+(f) \\ J) with w(good \\ J) run on
-integer weights scaled by the common denominator, which orders every
-sum exactly as the rational weights do.
+`local_median_order` repairs it.
+
+Every kernel reads the weights as integers over one common denominator,
+which orders every sum exactly as the rational weights do.  A `Weighting`
+computes them once, at construction (`ints` and `scale`, with
+`values[v] == Fraction(ints[v], scale)`); `w=None` means unit weights and
+builds no `Weighting`.  The exact DP, the feedback scan, local repair, the
+sedimentation comparison of w(N+(f) \\ J) with w(good \\ J) and
+`forward_weight` all run on those integers; only `forward_weight` and
+`MedianResult.value` convert back to a `Fraction`.
 
 Good median orders and sedimentation are facts about one instance, so
 they take its `Analysis` and read J(feed), goodness and the K(xi) blocks
@@ -68,22 +74,19 @@ def _check_order(d: Digraph, order: Sequence[int]) -> LinearOrder:
     return order
 
 
+def _int_weights(d: Digraph, w: Weighting | None) -> tuple[Sequence[int], int]:
+    """Integer weights and their common denominator; unit weights when w is None."""
+    if w is None:
+        return [1] * d.n, 1
+    w = resolve_weights(d, w)
+    return w.ints, w.scale
+
+
 def forward_weight(d: Digraph, order: Sequence[int], w: Weighting | None = None) -> Fraction:
     """Total weight of forward arcs; arc (u, v) weighs w(u) * w(v)."""
     order = _check_order(d, order)
-    ws = resolve_weights(d, w)
-    total = Fraction(0)
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
-            if d.has_arc(u, v):
-                total += ws[u] * ws[v]
-    return total
-
-
-def _scaled_int_weights(ws: Weighting) -> tuple[list[int], int]:
-    """Integer weights proportional to ws, and the common denominator."""
-    scale = math.lcm(*(f.denominator for f in ws.values)) if len(ws) else 1
-    return [int(f * scale) for f in ws.values], scale
+    weights, scale = _int_weights(d, w)
+    return Fraction(_eps_triple(d, order, weights)[0], scale * scale)
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ def exact_median_order(
 
     tiebreak, when given, is a set of vertices whose total (1-based) index
     is maximized among all maximum-weight orders: a single vertex realizes
-    the max-index rule, several realize the max-index-sum rule.
+    the max-index rule, several realize the max-index-sum rule.  The result's
+    tie_score is that maximal sum, and None unless tiebreak is non-empty.
 
     For each vertex subset S the DP keeps one integer key: the best score of
     an order of S placed first, the tuple (A, T, E, C) of the module
@@ -121,16 +125,14 @@ def exact_median_order(
     limit = min(cap, MAX_EXACT_CAP)
     if n > limit:
         raise ExactBoundExceededError(f"exact solver capped at {limit} vertices, got {n}")
-    ws = resolve_weights(d, w)
-    if n == 0:
-        return MedianResult((), Fraction(0), 0 if tiebreak is not None else None)
-    weights, scale = _scaled_int_weights(ws)
-    in_masks = [d.in_mask(v) for v in range(n)]
+    weights, scale = _int_weights(d, w)
     tie_mask = 0
-    if tiebreak:
-        for v in tiebreak:
-            d._check(v)
-            tie_mask |= 1 << v
+    for v in tiebreak or ():
+        d._check(v)
+        tie_mask |= 1 << v
+    if n == 0:
+        return MedianResult((), Fraction(0), None)
+    in_masks = [d.in_mask(v) for v in range(n)]
 
     size = 1 << n
     parent = [0] * size
@@ -236,13 +238,6 @@ class FeedbackReport:
     violation: tuple[int, int] | None  # 1-based (i, j), first by (i asc, j desc)
 
 
-def _int_weights(d: Digraph, w: Weighting | None) -> list[int]:
-    """Integer weights proportional to w; unit weights when w is None."""
-    if w is None:
-        return [1] * d.n
-    return _scaled_int_weights(resolve_weights(d, w))[0]
-
-
 def _first_violation(
     d: Digraph, order: Sequence[int], weights: Sequence[int]
 ) -> tuple[int, int, str] | None:
@@ -287,7 +282,7 @@ def satisfies_feedback(
 ) -> FeedbackReport:
     """Check the interval feedback property of an order."""
     order = _check_order(d, order)
-    found = _first_violation(d, order, _int_weights(d, w))
+    found = _first_violation(d, order, _int_weights(d, w)[0])
     if found is None:
         return FeedbackReport(True, None)
     i, j, _ = found
@@ -318,7 +313,7 @@ def local_median_order(
     the result satisfies the feedback property.
     """
     order = list(_check_order(d, init))
-    weights = _int_weights(d, w)
+    weights = _int_weights(d, w)[0]
     current = _eps_triple(d, order, weights)
     while True:
         found = _first_violation(d, order, weights)
@@ -394,7 +389,7 @@ def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> Linear
     move to the front, J follows, and the rest keep their relative order.
     """
     order = _check_order(a.d, order)
-    ana, jset, balance = _sed_balance(a, order, _int_weights(a.d, w))
+    ana, jset, balance = _sed_balance(a, order, _int_weights(a.d, w)[0])
     if balance < 0:
         return order
     if balance > 0:
@@ -438,7 +433,7 @@ def sediment(
 ) -> SedimentationTrace:
     """Iterate sed on a.d until a strict inequality (stable) or a repeat (periodic)."""
     order = _check_order(a.d, order)
-    weights = _int_weights(a.d, w)
+    weights = _int_weights(a.d, w)[0]
     if budget is None:
         budget = default_sediment_budget(a.d.n)
     orders = [order]
@@ -476,8 +471,10 @@ def good_median_order(
     against the unconstrained optimum.
     """
     d = a.d
-    ws = resolve_weights(d, w)
+    weights = _int_weights(d, w)[0]
     if not a.goodness.is_good:
+        if a.dec is None:
+            raise NotGoodDigraphError(f"missing graph is not disjoint stars: {a.dec_error}")
         bad = [k for k, ok in a.goodness.verdicts if not ok]
         raise NotGoodDigraphError(f"K(xi) sets are not intervals: {bad}")
     in_block = set()
@@ -500,7 +497,8 @@ def good_median_order(
     if len(q_arcs) != len(blocks) * (len(blocks) - 1) // 2:
         raise ConsistencyError("quotient of a good digraph should be a tournament")
     quotient = Digraph(len(blocks), q_arcs)
-    q_weights = Weighting([ws.total(b) for b in blocks])
+    # integer block sums: a common positive factor leaves the optimum unchanged
+    q_weights = Weighting([sum(weights[v] for v in b) for b in blocks])
 
     if len(blocks) > cap:
         raise ExactBoundExceededError(
@@ -515,7 +513,7 @@ def good_median_order(
             result.append(members[0])
             continue
         sub, mapping = d.induced(members)
-        sub_w = Weighting([ws[v] for v in mapping])
+        sub_w = None if w is None else Weighting([weights[v] for v in mapping])
         if sub.n > cap:
             raise ExactBoundExceededError(
                 f"block of size {sub.n} exceeds exact cap {cap}"
@@ -525,8 +523,8 @@ def good_median_order(
 
     order = tuple(result)
     if d.n <= cap:
-        unconstrained = exact_median_order(d, ws, cap=cap).value
-        if forward_weight(d, order, ws) != unconstrained:
+        unconstrained = exact_median_order(d, w, cap=cap).value
+        if forward_weight(d, order, w) != unconstrained:
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

@@ -47,16 +47,6 @@ class StarDecomposition:
     stars: tuple[Star, ...]
     matching: tuple[tuple[int, int], ...]
 
-    @property
-    def all_edges(self) -> tuple[Edge, ...]:
-        edges = [e for s in self.stars for e in s.edges]
-        edges.extend(edge(u, v) for u, v in self.matching)
-        return tuple(edges)
-
-    @property
-    def is_matching(self) -> bool:
-        return not self.stars
-
     def component_count(self) -> int:
         return len(self.stars) + len(self.matching)
 

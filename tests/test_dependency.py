@@ -106,6 +106,16 @@ def test_is_good_digraph_examples():
     assert not is_good_digraph(Digraph(7, arcs))
 
 
+def test_non_star_digraph_is_never_good():
+    # the missing graph of the empty digraph on 4 vertices is K4
+    assert not is_good_digraph(Digraph(4, []))
+
+
+def test_strong_dependency_check_on_non_star_digraph():
+    rep = strong_dependency_check(Digraph(4, []))
+    assert not rep.hypothesis_holds and not rep.is_good
+
+
 def test_goodness_reports_per_xi_verdicts():
     c4x = fixture("C4X")
     report = goodness(c4x, component_index(c4x))

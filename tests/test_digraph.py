@@ -39,10 +39,7 @@ def test_second_neighborhood_examples():
 
 def test_missing_graph_examples():
     assert fixture("C3").missing_pairs() == ()
-    assert fixture("C3").non_whole_vertices() == ()
-    c4x = fixture("C4X")
-    assert c4x.missing_pairs() == ((0, 2), (1, 3))
-    assert c4x.non_whole_vertices() == (0, 1, 2, 3)
+    assert fixture("C4X").missing_pairs() == ((0, 2), (1, 3))
     assert fixture("LC3").missing_pairs() == ((0, 1), (2, 3), (4, 5))
 
 
@@ -107,10 +104,18 @@ def test_tournament_degree_sum(seed, n):
 def test_weighting_basics():
     w = Weighting.ones(3)
     assert w.is_uniform() and w.total(range(3)) == 3
-    w = Weighting.from_map(3, {0: "3/2"})
+    w = Weighting(["3/2", 1, 1])
     assert w[0] == Fraction(3, 2) and w[1] == 1
     with pytest.raises(ValueError):
         Weighting([1, -1])
+    # one common denominator, computed at construction
+    w = Weighting(["0", "2/3", "5/4", 3, Fraction(0), "7/6"])
+    assert w.scale == 12 and w.ints == (0, 8, 15, 36, 0, 14)
+    assert all(w.values[v] == Fraction(w.ints[v], w.scale) for v in range(len(w)))
+    assert w.total(range(len(w))) == Fraction(73, 12) and not w.is_uniform()
+    empty = Weighting([])
+    assert empty.ints == () and empty.scale == 1 and empty.values == ()
+    assert empty.is_uniform() and empty.total(()) == 0
 
 
 def test_fingerprint_is_stable_and_injective_enough():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph, Weighting
-from seymour.errors import ExactBoundExceededError
+from seymour.errors import ExactBoundExceededError, NotGoodDigraphError, VertexRangeError
 from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
 from seymour.orders import (
     MAX_EXACT_CAP,
@@ -34,11 +34,74 @@ def test_forward_weight_rejects_non_permutations():
         forward_weight(fixture("C3"), (0, 1))
 
 
+@st.composite
+def ordered_instance(draw):
+    n = draw(st.integers(0, 8))
+    d = random_digraph(n, draw(st.integers(0, 10**4)), draw(st.sampled_from([0.4, 1.0])))
+    kind = draw(st.sampled_from(["unit", "zero", "mixed"]))
+    if kind == "unit":
+        w = None
+    elif kind == "zero":
+        w = Weighting([0] * n)
+    else:
+        w = Weighting([Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 4))) for _ in range(n)])
+    return d, draw(st.permutations(range(n))), w
+
+
+@given(ordered_instance())
+@settings(max_examples=150, deadline=None)
+def test_forward_weight_matches_brute_force(dow):
+    d, order, w = dow
+    assert forward_weight(d, order, w) == brute_forward_weight(d, order, w)
+
+
+def test_unit_weight_calls_build_no_weighting(monkeypatch):
+    builds = []
+    original = Weighting.__init__
+
+    def counted(self, values):
+        builds.append(self)
+        original(self, values)
+
+    def count(call):
+        builds.clear()
+        call()
+        return len(builds)
+
+    monkeypatch.setattr(Weighting, "__init__", counted)
+    for name in ("C3", "C4X", "LC3", "ST1"):
+        d = fixture(name)
+        a = Analysis(d)
+        start = tuple(range(d.n))
+        assert count(lambda: exact_median_order(d)) == 0
+        assert count(lambda: exact_median_order(d, tiebreak=[0])) == 0
+        assert count(lambda: forward_weight(d, start)) == 0
+        assert count(lambda: satisfies_feedback(d, start)) == 0
+        assert count(lambda: local_median_order(d, start)) == 0
+        if not a.goodness.is_good:
+            continue
+        # the quotient's block weights are the one Weighting built
+        assert count(lambda: good_median_order(a)) == 1
+        order = good_median_order(a)
+        assert count(lambda: sed(a, order)) == 0
+        assert count(lambda: sediment(a, order)) == 0
+
+
 def test_exact_median_examples():
     res = exact_median_order(fixture("TT3"))
     assert res.order == (0, 1, 2) and res.value == 3
     assert exact_median_order(fixture("C3")).value == 2
     assert exact_median_order(fixture("C4X")).value == 3
+
+
+def test_tie_score_is_none_without_a_non_empty_tiebreak():
+    for d in (Digraph(0), Digraph(1), fixture("C3")):
+        assert exact_median_order(d).tie_score is None
+        assert exact_median_order(d, tiebreak=[]).tie_score is None
+        assert exact_median_order(d, Weighting([0] * d.n), tiebreak=[]).tie_score is None
+    assert exact_median_order(Digraph(1), tiebreak=[0]).tie_score == 1
+    with pytest.raises(VertexRangeError):
+        exact_median_order(Digraph(0), tiebreak=[0])
 
 
 def test_exact_median_respects_cap():
@@ -103,6 +166,13 @@ def test_good_median_order_examples():
     assert forward_weight(fixture("C4X"), order) == 3
     t = random_tournament(6, 4)
     assert forward_weight(t, good_median_order(Analysis(t))) == exact_median_order(t).value
+
+
+def test_good_median_order_refuses_non_star_digraph():
+    a = Analysis(Digraph(4, []))  # missing graph is K4
+    with pytest.raises(NotGoodDigraphError) as excinfo:
+        good_median_order(a)
+    assert a.dec_error in str(excinfo.value)
 
 
 def test_tiebreak_maximizes_index_without_losing_weight():

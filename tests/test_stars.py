@@ -20,7 +20,7 @@ from oracles import brute_convenient
 def test_decompose_c4x_is_matching():
     dec = decompose(fixture("C4X"))
     assert dec.stars == () and dec.matching == ((0, 2), (1, 3))
-    assert dec.is_matching and dec.component_count() == 2
+    assert dec.component_count() == 2
 
 
 def test_decompose_star_plus_matching():
@@ -94,6 +94,7 @@ def test_convenient_matches_brute_force(seed, n):
 def test_decomposition_reassembles_missing_graph(seed, n):
     d = random_star_deleted(n, seed)
     dec = decompose(d)
-    assert sorted(tuple(sorted(e)) for e in dec.all_edges) == list(d.missing_pairs())
+    edges = [tuple(sorted(e)) for s in dec.stars for e in s.edges] + list(dec.matching)
+    assert sorted(edges) == list(d.missing_pairs())
     t = d.complete(orient_toward_centers(canonical_stars(dec)).arcs)
     assert t.is_tournament()
