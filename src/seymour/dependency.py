@@ -2,8 +2,10 @@
 
 Missing edge x1y1 loses to missing edge x2y2 when, for some labeling of the
 endpoints, x1 -> x2 with y2 outside N+(x1) and N++(x1), and y1 -> y2 with
-x2 outside N+(y1) and N++(y1).  The dependency digraph has the missing edges
-as vertices and one arc per losing pair (digons allowed there).
+x2 outside N+(y1) and N++(y1).  losing_roles is the one test of this
+condition: loses_to and the role labeling of propagate_roles call it.  The
+dependency digraph has the missing edges as vertices and one arc per losing
+pair (digons allowed there).
 """
 
 from __future__ import annotations
@@ -27,30 +29,41 @@ class LosingWitness:
     y2: int
 
 
-def loses_to(d: Digraph, e1, e2) -> LosingWitness | None:
-    """First role assignment making e1 lose to e2, or None.
+def losing_roles(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] | None:
+    """Roles (x2, y2) of e2 for which e1 loses to e2 with x1 = tail, or None.
 
-    Role assignments are tried with each edge's endpoints in (min,max) order
-    first, so the returned witness is deterministic.
+    The losing condition pairs x1 with x2 and y1 with y2, and it is
+    symmetric under swapping the two pairs.  At most one pairing of the
+    endpoints satisfies it (x1 -> x2 with y2 outside N+(x1) rules out
+    x1 -> y2), so e1 loses to e2 with either tail or with neither, and the
+    roles for the other tail are these reversed.
+    """
+    (y1,) = e1 - {tail}
+    r, s = edge_pair(e2)
+    for x2, y2 in ((r, s), (s, r)):
+        # the arcs first: they are cheap and usually decide
+        if (
+            d.has_arc(tail, x2)
+            and d.has_arc(y1, y2)
+            and not (d.out_mask(tail) | d.second_mask(tail)) >> y2 & 1
+            and not (d.out_mask(y1) | d.second_mask(y1)) >> x2 & 1
+        ):
+            return x2, y2
+    return None
+
+
+def loses_to(d: Digraph, e1, e2) -> LosingWitness | None:
+    """The role assignment making e1 lose to e2 with x1 < y1, or None.
+
+    By the symmetry of losing_roles, the other tail adds no assignment.
     """
     e1 = frozenset(e1)
     e2 = frozenset(e2)
     if e1 == e2:
         return None
-    p, q = edge_pair(e1)
-    r, s = edge_pair(e2)
-    for x1, y1 in ((p, q), (q, p)):
-        reach_x1 = d.out_mask(x1) | d.second_mask(x1)
-        reach_y1 = d.out_mask(y1) | d.second_mask(y1)
-        for x2, y2 in ((r, s), (s, r)):
-            if (
-                d.has_arc(x1, x2)
-                and not reach_x1 >> y2 & 1
-                and d.has_arc(y1, y2)
-                and not reach_y1 >> x2 & 1
-            ):
-                return LosingWitness(x1, y1, x2, y2)
-    return None
+    x1, y1 = edge_pair(e1)
+    roles = losing_roles(d, e1, e2, x1)
+    return None if roles is None else LosingWitness(x1, y1, *roles)
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,6 @@ class DependencyDigraph:
 
     edges: tuple[Edge, ...]
     arcs: tuple[tuple[Edge, Edge], ...]
-    witnesses: dict
     succ: dict
     pred: dict
 
@@ -99,26 +111,42 @@ class DependencyDigraph:
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
     edges = tuple(edge(u, v) for u, v in d.missing_pairs())
     arcs = []
-    witnesses = {}
     succ: dict[Edge, list[Edge]] = {e: [] for e in edges}
     pred: dict[Edge, list[Edge]] = {e: [] for e in edges}
     for e1 in edges:
         for e2 in edges:
             if e1 == e2:
                 continue
-            w = loses_to(d, e1, e2)
-            if w is not None:
+            if loses_to(d, e1, e2) is not None:
                 arcs.append((e1, e2))
-                witnesses[(e1, e2)] = w
                 succ[e1].append(e2)
                 pred[e2].append(e1)
     return DependencyDigraph(
         edges,
         tuple(arcs),
-        witnesses,
         {e: tuple(s) for e, s in succ.items()},
         {e: tuple(p) for e, p in pred.items()},
     )
+
+
+def propagate_roles(
+    d: Digraph, dd: DependencyDigraph, seeds: dict[Edge, tuple[int, int]]
+) -> dict[Edge, tuple[int, int]]:
+    """Role labels (x, y) spread breadth-first from seeds along losing arcs.
+
+    An edge e labeled (x, y) labels each unlabeled successor e2 with the
+    roles losing_roles(d, e, e2, x).  As e loses to e2, they exist for
+    either tail, so every edge reachable from the seeds is labeled.
+    """
+    roles = dict(seeds)
+    queue = list(roles)
+    # the loop also visits the edges appended to the queue while it runs
+    for e in queue:
+        for e2 in dd.successors(e):
+            if e2 not in roles:
+                roles[e2] = losing_roles(d, e, e2, roles[e][0])
+                queue.append(e2)
+    return roles
 
 
 def good_edges(dd: DependencyDigraph) -> tuple[Edge, ...]:
@@ -152,55 +180,16 @@ def _weak_components(dd: DependencyDigraph) -> tuple[tuple[Edge, ...], ...]:
     return tuple(comps)
 
 
-def strongly_connected_components(
-    vertices: Sequence, successors
-) -> tuple[tuple, ...]:
-    """Iterative Tarjan SCC over an arbitrary finite vertex set."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[tuple] = []
-    counter = [0]
-
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(successors(u))))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_v = work[-1][0]
-                low[parent_v] = min(low[parent_v], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(tuple(comp))
-    return tuple(sccs)
+def _reachable(start: Edge, links: dict) -> set[Edge]:
+    """The edges reachable from start along links (succ or pred)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for e in links[stack.pop()]:
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -248,11 +237,16 @@ class ComponentIndex:
         return tuple(chain)
 
     def component_is_nontrivial_scc(self, ci: int) -> bool:
-        # arcs never leave a weak component, and a lone edge is trivial
+        # arcs never leave a weak component, and a lone edge is trivial; the
+        # component is strong when its first edge reaches every edge both
+        # forward and backward
         comp = self.components[ci]
         if len(comp) == 1:
             return False
-        return len(strongly_connected_components(comp, self.dd.succ.__getitem__)) == 1
+        return all(
+            len(_reachable(comp[0], links)) == len(comp)
+            for links in (self.dd.succ, self.dd.pred)
+        )
 
 
 def component_index(d: Digraph) -> ComponentIndex:

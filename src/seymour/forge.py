@@ -270,22 +270,15 @@ def _across(src: Sequence[int], dst: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _with_padding(
-    core_n: int, arcs: list[tuple[int, int]], n: int, rng: random.Random,
-    dominating_only: bool = False,
+    core_n: int, arcs: list[tuple[int, int]], n: int, rng: random.Random
 ) -> Digraph:
-    """Extend a core construction to n vertices with uniform pad vertices.
+    """Extend a core construction to n vertices with dominating pad vertices.
 
-    A dominating pad beats every core vertex, a dominated pad loses to all
-    of them; uniformity keeps the core's losing relations intact.  Pads play
-    a random tournament among themselves.
+    Every pad beats every core vertex; uniformity keeps the core's losing
+    relations intact.  Pads play a random tournament among themselves.
     """
     pads = list(range(core_n, n))
-    core = list(range(core_n))
-    for p in pads:
-        if dominating_only or rng.random() < 0.5:
-            arcs += _across([p], core)
-        else:
-            arcs += _across(core, [p])
+    arcs += _across(pads, range(core_n))
     arcs += _tournament_within(rng, pads)
     return Digraph(n, arcs)
 
@@ -313,7 +306,7 @@ def _propose_two_stars(n: int, rng: random.Random) -> Digraph:
     na = rng.randint(1, max(1, room - 1))
     nb = rng.randint(1, max(1, room - na))
     core_n, arcs = _two_star_core(rng, na, nb)
-    return _with_padding(core_n, arcs, n, rng, dominating_only=True)
+    return _with_padding(core_n, arcs, n, rng)
 
 
 def _three_star_core(rng: random.Random, na: int, nb: int, nc: int) -> tuple[int, list]:
@@ -337,7 +330,7 @@ def _propose_three_stars(n: int, rng: random.Random) -> Digraph:
     nb = rng.randint(1, max(1, room - na - 1))
     nc = rng.randint(1, max(1, room - na - nb))
     core_n, arcs = _three_star_core(rng, na, nb, nc)
-    return _with_padding(core_n, arcs, n, rng, dominating_only=True)
+    return _with_padding(core_n, arcs, n, rng)
 
 
 def _propose_matching(n: int, rng: random.Random) -> Digraph:
@@ -361,7 +354,7 @@ def _propose_matching(n: int, rng: random.Random) -> Digraph:
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             arcs += _across(blocks[i], blocks[j])
-    return _with_padding(offset, arcs, n, rng, dominating_only=True)
+    return _with_padding(offset, arcs, n, rng)
 
 
 # 7-vertex cores (center 0, leaves {1, 2}, matching {3,4}, {5,6}) whose star
@@ -405,7 +398,7 @@ def _propose_star_matching(n: int, rng: random.Random) -> Digraph:
         arcs += [(u + offset, v + offset) for u, v in g.arcs]
         arcs += _across(list(range(7)), block)
         offset += 2 * k
-    return _with_padding(offset, arcs, n, rng, dominating_only=True)
+    return _with_padding(offset, arcs, n, rng)
 
 
 _PROPOSERS: dict[str, Callable[[int, random.Random], Digraph]] = {

@@ -370,15 +370,27 @@ def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
     )
 
 
-def _sed_balance(
-    a: Analysis, order: LinearOrder, weights: Sequence[int]
-) -> tuple[OrderAnalysis, set[int], int]:
-    """Analysis of order, J = J(feed), and w(N+(feed) \\ J) - w(good \\ J)."""
+def _sed_step(a: Analysis, order: LinearOrder, weights: Sequence[int]) -> LinearOrder | None:
+    """The order after one sedimentation step, None on a strict inequality.
+
+    The step compares w(N+(feed) \\ J) with w(good \\ J) for J = J(feed).
+    """
     ana = analyze(a.d, order)
     jset = set(j_of(a.d, ana.feed, a.ci))
     out_side = sum(weights[v] for v in ana.out_of_feed if v not in jset)
     good_side = sum(weights[v] for v in ana.good if v not in jset)
-    return ana, jset, out_side - good_side
+    balance = out_side - good_side
+    if balance < 0:
+        return None
+    if balance > 0:
+        raise ConsistencyError(
+            "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
+        )
+    bad = set(ana.bad) - jset
+    front = [v for v in order if v in bad]
+    block = [v for v in order if v in jset]
+    rest = [v for v in order if v not in bad and v not in jset]
+    return tuple(front + block + rest)
 
 
 def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> LinearOrder:
@@ -389,18 +401,8 @@ def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> Linear
     move to the front, J follows, and the rest keep their relative order.
     """
     order = _check_order(a.d, order)
-    ana, jset, balance = _sed_balance(a, order, _int_weights(a.d, w)[0])
-    if balance < 0:
-        return order
-    if balance > 0:
-        raise ConsistencyError(
-            "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
-        )
-    bad = set(ana.bad) - jset
-    front = [v for v in order if v in bad]
-    block = [v for v in order if v in jset]
-    rest = [v for v in order if v not in bad and v not in jset]
-    return tuple(front + block + rest)
+    nxt = _sed_step(a, order, _int_weights(a.d, w)[0])
+    return order if nxt is None else nxt
 
 
 @dataclass(frozen=True)
@@ -439,15 +441,10 @@ def sediment(
     orders = [order]
     seen = {order: 0}
     for q in range(budget):
-        cur = orders[-1]
-        nxt = sed(a, cur, w)
-        if nxt == cur:
-            if _sed_balance(a, cur, weights)[2] < 0:
-                return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
-            # equality with a fixed order: period 1
-            return SedimentationTrace(
-                tuple(orders), SedOutcome("periodic", cycle_start=q, cycle_length=1)
-            )
+        nxt = _sed_step(a, orders[-1], weights)
+        if nxt is None:
+            return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
+        # an order that equality leaves fixed is seen: a cycle of length 1
         if nxt in seen:
             return SedimentationTrace(
                 tuple(orders),

@@ -1,4 +1,4 @@
-"""Missing-graph structure: star decompositions and orientation plans."""
+"""Missing-graph structure: star decompositions, readings and orientations."""
 
 from __future__ import annotations
 
@@ -115,16 +115,9 @@ def canonical_stars(dec: StarDecomposition) -> tuple[Star, ...]:
     return dec.stars + tuple(Star(u, (v,)) for u, v in dec.matching)
 
 
-@dataclass(frozen=True)
-class OrientationPlan:
-    """One arc per missing edge."""
-
-    arcs: tuple[Arc, ...]
-
-
-def orient_toward_centers(stars: tuple[Star, ...]) -> OrientationPlan:
-    """Plan orienting every star edge from leaf to center."""
-    return OrientationPlan(tuple((a, s.center) for s in stars for a in s.leaves))
+def orient_toward_centers(stars: tuple[Star, ...]) -> tuple[Arc, ...]:
+    """One arc per star edge, from leaf to center."""
+    return tuple((a, s.center) for s in stars for a in s.leaves)
 
 
 def is_convenient(d: Digraph, a: int, b: int) -> bool:

@@ -33,6 +33,7 @@ from .dependency import (
     ComponentIndex,
     DependencyDigraph,
     j_of,
+    propagate_roles,
 )
 from .orders import (
     DEFAULT_EXACT_CAP,
@@ -100,9 +101,17 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class GateResult:
+    """The checks of one theorem's hypotheses.
+
+    roles is the star reading a gate found for its procedure: the stars of
+    the all-kings centers (kings-stars) or the first directed-triangle
+    reading (x, A, y, B, z, C) (three-stars gates); None otherwise.
+    """
+
     theorem_id: str
     applicable: bool
     checks: tuple[HypothesisCheck, ...]
+    roles: tuple | None = None
 
     def failing(self) -> tuple[HypothesisCheck, ...]:
         return tuple(c for c in self.checks if not c.ok)
@@ -183,8 +192,10 @@ def _star_count_check(dec, count: int) -> HypothesisCheck:
     )
 
 
-def _gate(theorem_id: str, checks: Sequence[HypothesisCheck]) -> GateResult:
-    return GateResult(theorem_id, all(c.ok for c in checks), tuple(checks))
+def _gate(
+    theorem_id: str, checks: Sequence[HypothesisCheck], roles: tuple | None = None
+) -> GateResult:
+    return GateResult(theorem_id, all(c.ok for c in checks), tuple(checks), roles)
 
 
 def gate_havet_thomasse(a: Analysis) -> GateResult:
@@ -232,7 +243,7 @@ def gate_kings_stars(a: Analysis) -> GateResult:
         HypothesisCheck("centers induce an all-kings tournament", reading is not None, evidence)
     )
     checks.append(_delta_check("delta-_Delta > 0", a.dd.min_in_degree))
-    return _gate("kings-stars", checks)
+    return _gate("kings-stars", checks, reading)
 
 
 def gate_star_matching(a: Analysis) -> GateResult:
@@ -326,10 +337,12 @@ def gate_two_stars_two(a: Analysis) -> GateResult:
     return _gate("two-stars-two", checks)
 
 
-def _gate_three_common(a: Analysis) -> list[HypothesisCheck]:
-    """Shape checks of the three-stars gates; the triangle check is added
-    only when there are exactly three stars."""
+def _gate_three_common(a: Analysis) -> tuple[list[HypothesisCheck], tuple | None]:
+    """Shape checks of the three-stars gates and the first directed-triangle
+    reading; the triangle check is added only when there are exactly three
+    stars."""
     checks = [_stars_check(a), _star_count_check(a.dec, 3)]
+    roles = None
     if checks[1].ok:
         roles = next(_three_star_readings(a.d, a.dec), None)
         checks.append(
@@ -339,23 +352,23 @@ def _gate_three_common(a: Analysis) -> list[HypothesisCheck]:
                 "" if roles else "every center reading induces a transitive triangle",
             )
         )
-    return checks
+    return checks, roles
 
 
 def gate_three_stars(a: Analysis) -> GateResult:
-    checks = _gate_three_common(a)
+    checks, roles = _gate_three_common(a)
     if checks[1].ok:
         checks.append(_delta_check("delta_Delta > 0", a.dd.min_degree))
-    return _gate("three-stars", checks)
+    return _gate("three-stars", checks, roles)
 
 
 def gate_three_stars_two(a: Analysis) -> GateResult:
-    checks = _gate_three_common(a)
+    checks, roles = _gate_three_common(a)
     if checks[1].ok:
         checks.append(_delta_check("delta+_Delta > 0", a.dd.min_out_degree))
         checks.append(_delta_check("delta-_Delta > 0", a.dd.min_in_degree))
     checks.append(_no_sink_check(a.d))
-    return _gate("three-stars-two", checks)
+    return _gate("three-stars-two", checks, roles)
 
 
 # Every gate takes the Analysis of its digraph: `_GATES[tid](Analysis(d))`.
@@ -440,34 +453,6 @@ def _claimed_roles(d: Digraph, readings, claim):
         if first is None:
             first = roles
     return first
-
-
-def _role_with_tail(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] | None:
-    """Roles (x2, y2) of e2 for which e1 loses to e2 with x1 = tail."""
-    y1 = next(iter(e1 - {tail}))
-    reach_tail = d.out_mask(tail) | d.second_mask(tail)
-    reach_y1 = d.out_mask(y1) | d.second_mask(y1)
-    r, s = edge_pair(e2)
-    for x2, y2 in ((r, s), (s, r)):
-        if (
-            d.has_arc(tail, x2)
-            and not reach_tail >> y2 & 1
-            and d.has_arc(y1, y2)
-            and not reach_y1 >> x2 & 1
-        ):
-            return (x2, y2)
-    return None
-
-
-def _next_roles(d: Digraph, e1: Edge, e2: Edge, u: int, v: int) -> tuple[int, int] | None:
-    """Continue the (u, v) role labeling of e1 along the arc e1 -> e2."""
-    r = _role_with_tail(d, e1, e2, u)
-    if r is not None:
-        return r
-    r = _role_with_tail(d, e1, e2, v)
-    if r is not None:
-        return (r[1], r[0])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +662,8 @@ def havet_thomasse_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCer
 def kings_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Orient toward the all-kings centers; the median-order feed is the witness."""
     a, gate = _require(gate_kings_stars, d)
-    chosen = _kings_reading(a)
-    plan = orient_toward_centers(chosen)
-    t = d.complete(plan.arcs)
+    chosen = gate.roles
+    t = d.complete(orient_toward_centers(chosen))
     res = exact_median_order(t, cap=cap)
     f = res.order[-1]
     trace = [f"median order {list(res.order)}"]
@@ -715,8 +699,7 @@ def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
         return _tournament_feed(d, gate, cap)
     star = canonical_stars(dec)[0]
     x = star.center
-    plan = orient_toward_centers((star,))
-    t = d.complete(plan.arcs)
+    t = d.complete(orient_toward_centers((star,)))
     res = exact_median_order(t, tiebreak=[x], cap=cap)
     f = res.order[-1]
     trace = [f"median order {list(res.order)} (index of {x} maximal)"]
@@ -748,20 +731,9 @@ def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]]
     for i in _path_component_ids(ci):
         chain = ci.path_chain(i)
         first = chain[0]
-        # role labels along the chain
-        if len(chain) == 1:
-            labels = [edge_pair(first)]
-        else:
-            w = ci.dd.witnesses[(chain[0], chain[1])]
-            labels = [(w.x1, w.y1), (w.x2, w.y2)]
-            for k in range(1, len(chain) - 1):
-                nxt = _next_roles(d, chain[k], chain[k + 1], *labels[k])
-                if nxt is None:
-                    raise ConsistencyError(
-                        f"role labeling breaks between {edge_pair(chain[k])} "
-                        f"and {edge_pair(chain[k + 1])}"
-                    )
-                labels.append(nxt)
+        # first is labeled (min, max), the tail of loses_to's witness
+        roles = propagate_roles(d, ci.dd, {first: edge_pair(first)})
+        labels = [roles[e] for e in chain]
         cos = convenient_orientations(d, first)
         if not cos:
             raise ConsistencyError(
@@ -783,20 +755,7 @@ def _star_interval_witness(
     shortest dependency paths, and take the feed of a center-index-maximal
     median order of the completed tournament."""
     x = star.center
-    dd = ci.dd
-    roles: dict[Edge, tuple[int, int]] = {edge(a, x): (a, x) for a in star.leaves}
-    queue = list(roles)
-    # breadth-first role propagation along the losing relation; the loop
-    # also visits the edges appended to the queue while it runs
-    for e in queue:
-        for e2 in dd.successors(e):
-            if e2 in roles:
-                continue
-            nxt = _next_roles(d, e, e2, *roles[e])
-            if nxt is None:
-                continue
-            roles[e2] = nxt
-            queue.append(e2)
+    roles = propagate_roles(d, ci.dd, {edge(a, x): (a, x) for a in star.leaves})
     sub, mapping = d.induced(kset)
     inv = {v: i for i, v in enumerate(mapping)}
     orientation = []
@@ -937,7 +896,7 @@ def _three_star_shape_check(dd: DependencyDigraph, stars: tuple[Star, Star, Star
 
 def three_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     a, gate = _require(gate_three_stars, d)
-    x, a_set, y, b_set, z, c_set = next(_three_star_readings(d, a.dec))
+    x, a_set, y, b_set, z, c_set = gate.roles
     stars = (Star(x, a_set), Star(y, b_set), Star(z, c_set))
     _three_star_shape_check(a.dd, stars)
     t, notes = _orient_missing_edges(d, stars, a.dd)

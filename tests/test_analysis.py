@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from seymour import dependency
+from seymour import dependency, theorems
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph
 from seymour.errors import HypothesisFailedError
@@ -67,3 +67,21 @@ def test_analysis_reports_why_there_is_no_decomposition():
     a = Analysis(Digraph(3, []))  # missing graph is a triangle
     assert a.dec is None and "has 3 edges" in a.dec_error
     assert Analysis(fixture("C4X")).dec_error is None
+
+
+def test_star_procedures_walk_the_readings_once(monkeypatch):
+    # the gate hands its reading to the procedure in GateResult.roles
+    calls = Counter()
+    original = theorems.center_assignments
+
+    def counted(dec):
+        calls["readings"] += 1
+        return original(dec)
+
+    monkeypatch.setattr(theorems, "center_assignments", counted)
+    for pred in ("kings-stars", "three-stars"):
+        for d in filtered_search(pred, 9, 0, budget=200, count=4).instances:
+            calls.clear()
+            cert = THEOREMS[pred](d)
+            assert calls == {"readings": 1}, (pred, d.fingerprint())
+            assert cert.ok

@@ -8,12 +8,15 @@ from seymour.dependency import (
     is_good_digraph,
     j_of,
     loses_to,
+    losing_roles,
+    propagate_roles,
     strong_dependency_check,
-    strongly_connected_components,
 )
 from seymour.digraph import Digraph
-from seymour.forge import fixture, random_star_deleted, random_tournament
-from seymour.stars import convenient_orientations, edge
+from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
+from seymour.stars import convenient_orientations, edge, edge_pair
+
+from oracles import brute_second_out
 
 
 def test_loses_to_c4x_examples():
@@ -27,6 +30,57 @@ def test_loses_to_c4x_examples():
 def test_loses_to_lc3_negative_example():
     lc3 = fixture("LC3")
     assert loses_to(lc3, edge(0, 1), edge(4, 5)) is None
+
+
+def _brute_loses(d, x1, y1, x2, y2):
+    def reach(v):
+        return set(d.neighbors(v)) | set(brute_second_out(d, v))
+
+    return (
+        d.has_arc(x1, x2) and y2 not in reach(x1)
+        and d.has_arc(y1, y2) and x2 not in reach(y1)
+    )
+
+
+@given(st.integers(0, 400), st.integers(3, 8))
+@settings(max_examples=100, deadline=None)
+def test_losing_roles_pair_the_endpoints_once(seed, n):
+    # e1 loses to e2 for at most one pairing of their endpoints, so both
+    # tails of e1 give the same answer, with the roles reversed
+    d = random_digraph(n, seed)
+    edges = [edge(u, v) for u, v in d.missing_pairs()]
+    for e1 in edges:
+        p, q = edge_pair(e1)
+        for e2 in edges:
+            if e1 == e2:
+                continue
+            r, s = edge_pair(e2)
+            pairings = [
+                (x1, y1, x2, y2)
+                for x1, y1 in ((p, q), (q, p))
+                for x2, y2 in ((r, s), (s, r))
+                if _brute_loses(d, x1, y1, x2, y2)
+            ]
+            roles = losing_roles(d, e1, e2, p)
+            if roles is None:
+                assert pairings == [] and loses_to(d, e1, e2) is None
+                assert losing_roles(d, e1, e2, q) is None
+            else:
+                assert pairings == [(p, q, *roles), (q, p, *roles[::-1])]
+                assert losing_roles(d, e1, e2, q) == roles[::-1]
+                w = loses_to(d, e1, e2)
+                assert (w.x1, w.y1, w.x2, w.y2) == (p, q, *roles)
+
+
+def test_propagate_roles_labels_every_reachable_edge():
+    d = fixture("LC3")
+    dd = dependency_digraph(d)
+    e = [edge(0, 1), edge(2, 3), edge(4, 5)]  # e0 -> e1 -> e2 -> e0
+    roles = propagate_roles(d, dd, {e[0]: (1, 0)})
+    assert list(roles) == e and roles[e[0]] == (1, 0)
+    for e1, e2 in ((e[0], e[1]), (e[1], e[2])):
+        assert roles[e2] == losing_roles(d, e1, e2, roles[e1][0])
+    assert propagate_roles(d, dd, {}) == {}
 
 
 def test_dependency_digraph_examples():
@@ -50,7 +104,9 @@ def test_witnesses_replay():
     for name in ("C4X", "LC3"):
         d = fixture(name)
         dd = dependency_digraph(d)
-        for (e1, e2), w in dd.witnesses.items():
+        for e1, e2 in dd.arcs:
+            w = loses_to(d, e1, e2)
+            assert {w.x1, w.y1} == e1 and {w.x2, w.y2} == e2
             assert d.has_arc(w.x1, w.x2) and d.has_arc(w.y1, w.y2)
             assert not (d.out_mask(w.x1) | d.second_mask(w.x1)) >> w.y2 & 1
             assert not (d.out_mask(w.y1) | d.second_mask(w.y1)) >> w.x2 & 1
@@ -122,10 +178,16 @@ def test_goodness_reports_per_xi_verdicts():
     assert report.is_good and report.verdicts == (((0, 1, 2, 3), True),)
 
 
-def test_strongly_connected_components():
-    dd = dependency_digraph(fixture("LC3"))
-    sccs = strongly_connected_components(dd.edges, dd.successors)
-    assert len(sccs) == 1 and len(sccs[0]) == 3
+def test_component_is_nontrivial_scc():
+    ci = component_index(fixture("LC3"))
+    assert len(ci.components) == 1 and ci.component_is_nontrivial_scc(0)
+    # path components whose first edge starts the path, {2,6} -> {4,5},
+    # and ends it, {3,5} -> {2,6} -> {0,1}: a lone edge and a path are
+    # never strong
+    for n, seed, shapes in ((7, 13, [1, 1, 1]), (8, 41, [1, 1, 1, 1])):
+        ci = component_index(random_star_deleted(n, seed, shapes))
+        assert [len(c) for c in ci.components] in ([1, 2], [3, 1])
+        assert not any(ci.component_is_nontrivial_scc(i) for i in range(2))
 
 
 def test_strong_dependency_check_examples():

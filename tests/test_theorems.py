@@ -5,8 +5,10 @@ from seymour.dependency import Analysis
 from seymour.digraph import Digraph
 from seymour.errors import HypothesisFailedError
 from seymour.forge import (
+    InstanceSpec,
     all_kings_tournament,
     all_tournaments,
+    build,
     filtered_search,
     fixture,
     losing_cycle_gadget,
@@ -16,6 +18,7 @@ from seymour.forge import (
 from seymour.theorems import (
     THEOREM_IDS,
     THEOREMS,
+    _build_f_arcs,
     all_kings,
     check_hypotheses,
     gate_kings_stars,
@@ -115,6 +118,58 @@ def test_star_matching_on_pure_matching_fixtures():
     for name in ("C4X", "LC3"):
         cert = star_matching_witness(fixture(name))
         assert all(brute_has_snp(fixture(name), v) for v in cert.witnesses)
+
+
+# Path components of more than one edge, where F follows role labels that
+# swap along the chain: (spec, F arcs, witnesses, trace).
+MULTI_EDGE_CHAINS = [
+    (
+        "star-deleted n=7 seed=13 shapes=1,1,1",
+        [(0, 1), (2, 6), (5, 4)],
+        (3,),
+        (
+            "path [(0, 1)] oriented a->b",
+            "path [(2, 6), (4, 5)] oriented a->b",
+            "F has 3 arc(s)",
+            "good median order of D+F: [5, 0, 1, 4, 2, 6, 3]",
+            "case whole-feed",
+        ),
+    ),
+    (
+        "star-deleted n=9 seed=2 shapes=1,1,1",
+        [(1, 3), (8, 2), (4, 5)],
+        (6,),
+        (
+            "path [(1, 3)] oriented a->b",
+            "path [(2, 8), (4, 5)] oriented b->a",
+            "F has 3 arc(s)",
+            "good median order of D+F: [5, 1, 8, 7, 4, 2, 0, 3, 6]",
+            "case whole-feed",
+        ),
+    ),
+    (
+        "star-deleted n=8 seed=41 shapes=1,1,1,1",
+        [(3, 5), (6, 2), (1, 0), (4, 7)],
+        (5,),
+        (
+            "path [(3, 5), (2, 6), (0, 1)] oriented a->b",
+            "path [(4, 7)] oriented a->b",
+            "F has 4 arc(s)",
+            "good median order of D+F: [4, 6, 1, 2, 0, 7, 3, 5]",
+            "case whole-feed",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, f_arcs, witnesses, trace", MULTI_EDGE_CHAINS, ids=[c[0] for c in MULTI_EDGE_CHAINS]
+)
+def test_star_matching_labels_multi_edge_chains(spec, f_arcs, witnesses, trace):
+    d = build(InstanceSpec.parse(spec.split()))
+    assert _build_f_arcs(d, Analysis(d).ci)[0] == f_arcs
+    cert = star_matching_witness(d)
+    assert (cert.witnesses, cert.trace, cert.findings) == (witnesses, trace, ())
 
 
 def test_matching_two_witnesses_examples():
