@@ -317,6 +317,7 @@ def _sweep_exhaustive(args, report: Report) -> None:
                 ))
     report.config["evaluated"] = evaluated
     report.config["violations"] = len(report.records)
+    report.unrecorded_verified = evaluated - len(report.records)
 
 
 def _sweep_predicate(args, report: Report) -> None:

@@ -47,6 +47,22 @@ vertices in one lookup.  With equal positive weights w the tuple is
 (w*w*C, T, 2*w*C, C), which orders exactly like (C, T), so that key is C
 shifted above T (and C alone without a tiebreak), and no weight table is
 built.
+
+The optimum splits over strong components: in a topological order of the
+condensation every arc between components is forward, so the optimal
+value is the weight of those arcs plus each component's own optimum.
+`good_median_order` needs only that value for its check, and computes it
+this way for any digraph.  `exact_median_order` also splits the order, but
+only on tournaments with positive weights, where every median order runs
+the components in condensation order (Havet and Thomassé 2000, "Median
+orders of tournaments"), so the split returns the whole DP's order and
+ties.  With zero weights an order against the condensation can lose
+nothing in A and win in T, and in a non-tournament two components without
+an arc between them can interleave at no loss, so those inputs keep the
+whole DP.  Below _SPLIT_MIN_N = 8 vertices the split costs more than it
+saves and is skipped.  The split runs the DP kernel `_median_dp` once per
+component, so no `Weighting` is built per component and a traced run
+still sees one `exact_median_order` span per call.
 """
 
 from __future__ import annotations
@@ -57,7 +73,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dependency import Analysis, j_of
-from .digraph import Digraph, VertexSet, Weighting, mask_to_set, resolve_weights
+from .digraph import (
+    Digraph,
+    VertexSet,
+    Weighting,
+    mask_to_set,
+    resolve_weights,
+    set_to_mask,
+)
 from .errors import ConsistencyError, ExactBoundExceededError, NotGoodDigraphError
 
 LinearOrder = tuple[int, ...]
@@ -65,6 +88,11 @@ LinearOrder = tuple[int, ...]
 DEFAULT_EXACT_CAP = 15
 # hard ceiling on any cap: the DP keeps several lists of 2**n entries
 MAX_EXACT_CAP = 20
+# exact_median_order splits tournaments from this many vertices up.  Below
+# it finding the components costs more than the DP saves: without this
+# floor, calls on the sinkless tournaments on 2-6 vertices took about 25%
+# longer, and on random tournaments the split breaks even near n = 8.
+_SPLIT_MIN_N = 8
 
 
 def _check_order(d: Digraph, order: Sequence[int]) -> LinearOrder:
@@ -87,6 +115,12 @@ def forward_weight(d: Digraph, order: Sequence[int], w: Weighting | None = None)
     order = _check_order(d, order)
     weights, scale = _int_weights(d, w)
     return Fraction(_eps_triple(d, order, weights)[0], scale * scale)
+
+
+def _check_exact_cap(n: int, cap: int) -> None:
+    limit = min(cap, MAX_EXACT_CAP)
+    if n > limit:
+        raise ExactBoundExceededError(f"exact solver capped at {limit} vertices, got {n}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +152,21 @@ def exact_median_order(
     orders exactly like (C, T); the key then packs C and T only, or is C
     alone without a tiebreak.
 
+    A tournament with positive weights on at least _SPLIT_MIN_N vertices is
+    solved per strong component, and the component orders are concatenated
+    in condensation order; value and tie_score are read off the result.
+    This returns the whole-digraph DP's order, ties included: every
+    key-optimal order runs the components in condensation order (an
+    adjacent pair against it swaps to a gain of w(u)w(v) > 0 in A), and
+    there the keys of the vertices of one component differ from that
+    component's own keys by one constant.  Zero weights keep the whole DP,
+    as a zero gain in A lets T rank an order against the condensation.
+
     Raises ExactBoundExceededError when n exceeds min(cap, MAX_EXACT_CAP),
     before anything of size 2**n is allocated.
     """
     n = d.n
-    limit = min(cap, MAX_EXACT_CAP)
-    if n > limit:
-        raise ExactBoundExceededError(f"exact solver capped at {limit} vertices, got {n}")
+    _check_exact_cap(n, cap)
     weights, scale = _int_weights(d, w)
     tie_mask = 0
     for v in tiebreak or ():
@@ -132,8 +174,32 @@ def exact_median_order(
         tie_mask |= 1 << v
     if n == 0:
         return MedianResult((), Fraction(0), None)
-    in_masks = [d.in_mask(v) for v in range(n)]
+    split = n >= _SPLIT_MIN_N and min(weights) > 0 and d.is_tournament()
+    comps = _strong_components(d) if split else ()
+    if len(comps) > 1:
+        order = []
+        for comp in comps:
+            local_tie = sum(1 << i for i, v in enumerate(comp) if tie_mask >> v & 1)
+            local, _, _ = _median_dp(
+                _local_in_masks(d, comp), [weights[v] for v in comp], local_tie
+            )
+            order.extend(comp[i] for i in local)
+        value = _eps_triple(d, order, weights)[0]
+        tie = sum(i for i, v in enumerate(order, 1) if tie_mask >> v & 1)
+    else:
+        order, value, tie = _median_dp([d.in_mask(v) for v in range(n)], weights, tie_mask)
+    return MedianResult(tuple(order), Fraction(value, scale * scale), tie if tie_mask else None)
 
+
+def _median_dp(
+    in_masks: Sequence[int], weights: Sequence[int], tie_mask: int
+) -> tuple[list[int], int, int]:
+    """The subset DP of exact_median_order on n >= 1 vertices.
+
+    Returns the order, its forward weight A in integer weight units and its
+    tie score T (0 without a tiebreak).
+    """
+    n = len(in_masks)
     size = 1 << n
     parent = [0] * size
     value = [0] * size
@@ -143,7 +209,6 @@ def exact_median_order(
 
     if uniform and not tie_mask:
         # unit-like weights: value reduces to the forward arc count
-        unit = weights[0]
         for s in range(1, size):
             best = -1
             best_v = -1
@@ -158,11 +223,10 @@ def exact_median_order(
                     best_v = v
             value[s] = best
             parent[s] = best_v
-        total = Fraction(value[size - 1] * unit * unit, scale * scale)
-        tie_score = None
+        total = value[size - 1] * weights[0] * weights[0]
+        tie = 0
     elif uniform:
         # key C << tshift | T
-        unit = weights[0]
         for s in range(1, size):
             pos = s.bit_count()
             best = -1
@@ -182,8 +246,8 @@ def exact_median_order(
             value[s] = best
             parent[s] = best_v
         final = value[size - 1]
-        total = Fraction((final >> tshift) * unit * unit, scale * scale)
-        tie_score = final & ((1 << tshift) - 1)
+        total = (final >> tshift) * weights[0] * weights[0]
+        tie = final & ((1 << tshift) - 1)
     else:
         # key A << a_at | T << t_at | E << e_at | C; each field stays below
         # the next offset: C <= pairs, E <= 2 * max(w) * pairs, T < 2**tshift
@@ -219,8 +283,8 @@ def exact_median_order(
             value[s] = best
             parent[s] = best_v
         final = value[size - 1]
-        total = Fraction(final >> a_at, scale * scale)
-        tie_score = (final >> t_at) & ((1 << tshift) - 1) if tie_mask else None
+        total = final >> a_at
+        tie = (final >> t_at) & ((1 << tshift) - 1)
 
     order = []
     s = size - 1
@@ -229,7 +293,59 @@ def exact_median_order(
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return MedianResult(tuple(order), total, tie_score)
+    return order, total, tie
+
+
+def _strong_components(d: Digraph) -> list[VertexSet]:
+    """Strong components of d in a topological order of its condensation.
+
+    Warshall's closure on bitmasks gives every vertex's reach, and the
+    component of v is the part of its reach that reaches v.  A component
+    that reaches another reaches strictly more vertices, so decreasing reach
+    (then least vertex) is a topological order.
+    """
+    n = d.n
+    reach = [d.out_mask(v) | 1 << v for v in range(n)]
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        for v in range(n):
+            if reach[v] & bit:
+                reach[v] |= via
+    comps = []
+    seen = 0
+    for v in range(n):
+        if not seen >> v & 1:
+            comp = tuple(u for u in mask_to_set(reach[v]) if reach[u] >> v & 1)
+            seen |= set_to_mask(comp)
+            comps.append((-reach[v].bit_count(), comp))
+    comps.sort()
+    return [comp for _, comp in comps]
+
+
+def _local_in_masks(d: Digraph, comp: VertexSet) -> list[int]:
+    """In-masks of the subdigraph induced on comp, over local indices 0..len-1."""
+    return [
+        sum(1 << i for i, u in enumerate(comp) if d.in_mask(v) >> u & 1) for v in comp
+    ]
+
+
+def _median_value(d: Digraph, weights: Sequence[int]) -> int:
+    """Optimal forward weight of d, in integer weight units, without an order.
+
+    In a topological order of the condensation every arc between strong
+    components is forward, so the optimum is the weight of those arcs plus
+    each component's own optimum.  This holds for any digraph and any
+    nonnegative weights: only the order, not its value, depends on ties.
+    """
+    total = 0
+    for comp in _strong_components(d):
+        members = set_to_mask(comp)
+        for v in comp:
+            outside = d.in_mask(v) & ~members
+            total += weights[v] * sum(weights[u] for u in mask_to_set(outside))
+        if len(comp) > 1:
+            total += _median_dp(_local_in_masks(d, comp), [weights[v] for v in comp], 0)[1]
+    return total
 
 
 @dataclass(frozen=True)
@@ -465,7 +581,8 @@ def good_median_order(
     The quotient (one block per K(xi), singleton blocks for the remaining
     vertices) is ordered optimally and each block internally optimally; when
     a.d has at most cap vertices, the result's forward weight is checked
-    against the unconstrained optimum.
+    against the unconstrained optimum, whose value is solved per strong
+    component.
     """
     d = a.d
     weights = _int_weights(d, w)[0]
@@ -520,8 +637,8 @@ def good_median_order(
 
     order = tuple(result)
     if d.n <= cap:
-        unconstrained = exact_median_order(d, w, cap=cap).value
-        if forward_weight(d, order, w) != unconstrained:
+        _check_exact_cap(d.n, cap)
+        if _eps_triple(d, order, weights)[0] != _median_value(d, weights):
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

@@ -2,7 +2,9 @@
 
 The machine format is JSON with sorted keys; the human format is a small
 table.  Records are kept sorted by instance fingerprint so reports are
-stable regardless of evaluation order.
+stable regardless of evaluation order.  An exhaustive sweep records only
+its violations and counts the instances that passed in `unrecorded_verified`,
+which the summary adds to `instances` and `verified`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class Report:
     config: dict[str, Any]
     records: list[InstanceRecord] = field(default_factory=list)
     version: str = VERSION
+    unrecorded_verified: int = 0
 
     def add(self, record: InstanceRecord) -> None:
         self.records.append(record)
@@ -55,8 +58,8 @@ class Report:
     def summary(self) -> dict[str, int]:
         recs = self.records
         return {
-            "instances": len(recs),
-            "verified": sum(r.status == VERIFIED for r in recs),
+            "instances": len(recs) + self.unrecorded_verified,
+            "verified": sum(r.status == VERIFIED for r in recs) + self.unrecorded_verified,
             "hypothesis-failed": sum(r.status == GATED for r in recs),
             "failed": sum(r.status == FAILED for r in recs),
             "findings": sum(len(r.findings) for r in recs),

@@ -177,6 +177,19 @@ def test_sweep_exhaustive_small(capsys):
     assert payload["config"]["violations"] == 0
 
 
+@pytest.mark.parametrize("family, evaluated", [("tournaments-n4", 64), ("digraphs-n4", 729)])
+def test_exhaustive_sweep_summary_counts_evaluated_instances(family, evaluated, capsys):
+    code, out = run(["sweep", family, "--format", "machine"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["evaluated"] == evaluated
+    violations = payload["config"]["violations"]
+    assert len(payload["records"]) == violations
+    assert payload["summary"]["instances"] == evaluated
+    assert payload["summary"]["verified"] == evaluated - violations
+    assert payload["summary"]["failed"] == violations
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph, Weighting
 from seymour.errors import ExactBoundExceededError, NotGoodDigraphError, VertexRangeError
-from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
+from seymour import orders
+from seymour.forge import (
+    all_kings_tournament,
+    fixture,
+    random_digraph,
+    random_star_deleted,
+    random_tournament,
+)
 from seymour.orders import (
     MAX_EXACT_CAP,
     analyze,
@@ -300,3 +308,64 @@ def test_exact_tiebreak_matches_brute_force(dwt):
     assert res.tie_score == max(tie_sum(o) for value, o in scored if value == best)
     assert brute_forward_weight(d, res.order, w) == best
     assert tie_sum(res.order) == res.tie_score
+
+
+@st.composite
+def block_digraph(draw):
+    """Digraph of 2-4 random blocks; arcs between blocks run forward, or are absent."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n = sum(sizes)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    label = list(range(n))
+    rng.shuffle(label)
+    arcs = []
+    start = 0
+    for size in sizes:
+        block = label[start : start + size]
+        inner = random_digraph(size, rng.randrange(10**4), rng.choice((0.6, 1.0)))
+        arcs += [(block[u], block[v]) for u, v in inner.arcs]
+        arcs += [(u, v) for u in block for v in label[start + size :] if rng.random() < 0.7]
+        start += size
+    kind = draw(st.sampled_from(["unit", "mixed", "zero"]))
+    if kind == "unit":
+        w = None
+    else:
+        low = 0 if kind == "zero" else 1
+        w = Weighting([Fraction(rng.randint(low, 5), rng.randint(1, 3)) for _ in range(n)])
+    return Digraph(n, arcs), w
+
+
+@given(block_digraph())
+@settings(max_examples=80, deadline=None)
+def test_value_split_matches_the_whole_dp(dw):
+    d, w = dw
+    weights, scale = orders._int_weights(d, w)
+    value = Fraction(orders._median_value(d, weights), scale * scale)
+    assert value == exact_median_order(d, w).value
+
+
+def test_order_split_runs_the_dp_per_strong_component(monkeypatch):
+    rng = random.Random(0)
+    label = list(range(20))
+    rng.shuffle(label)
+    blocks = [label[5 * b : 5 * b + 5] for b in range(4)]
+    block_arcs = all_kings_tournament(5).arcs  # strong: every vertex is a king
+    arcs = [(block[u], block[v]) for block in blocks for u, v in block_arcs]
+    arcs += [(u, v) for b, block in enumerate(blocks) for later in blocks[b + 1 :]
+             for u in block for v in later]
+    d = Digraph(20, arcs)
+    sizes = []
+    kernel = orders._median_dp
+
+    def counted(in_masks, weights, tie_mask):
+        sizes.append(len(in_masks))
+        return kernel(in_masks, weights, tie_mask)
+
+    monkeypatch.setattr(orders, "_median_dp", counted)
+    for w, tie in ((None, None), (Weighting([Fraction(1 + v % 3, 2) for v in range(20)]), [label[7]])):
+        sizes.clear()
+        res = exact_median_order(d, w, tiebreak=tie, cap=20)
+        assert sizes == [5, 5, 5, 5]
+        assert [set(res.order[5 * b : 5 * b + 5]) for b in range(4)] == [set(b) for b in blocks]
+        assert res.value == forward_weight(d, res.order, w)
+        assert satisfies_feedback(d, res.order, w).ok
