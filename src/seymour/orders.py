@@ -59,10 +59,21 @@ orders of tournaments"), so the split returns the whole DP's order and
 ties.  With zero weights an order against the condensation can lose
 nothing in A and win in T, and in a non-tournament two components without
 an arc between them can interleave at no loss, so those inputs keep the
-whole DP.  Below _SPLIT_MIN_N = 8 vertices the split costs more than it
-saves and is skipped.  The split runs the DP kernel `_median_dp` once per
-component, so no `Weighting` is built per component and a traced run
-still sees one `exact_median_order` span per call.
+whole DP.  The split runs the DP kernel `_median_dp` once per component,
+so no `Weighting` is built per component and a traced run still sees one
+`exact_median_order` span per call.
+
+From _LARGE_DP_N = 8 vertices up the kernel also skips every subset no
+median order passes through.  With h[v] = w(v) * w(N-(v)), any order with
+prefix S has forward weight at most A(S) + sum of h[v] over v outside S,
+where A(S) is the A field of S's best key; a subset whose bound is below
+the forward weight L of a known order is dropped.  L is the weight of a
+cheap order (`_greedy_order`), or, in `good_median_order`'s check, of the
+checked order restricted to the component.  Every prefix of a key-optimal
+order has bound >= A_opt >= L, so the kept subsets still hold every
+maximal-key transition, and orders and ties are unchanged; see
+`_median_dp`.  Below the floor both the split and the bound cost more
+than they save.
 """
 
 from __future__ import annotations
@@ -88,11 +99,16 @@ LinearOrder = tuple[int, ...]
 DEFAULT_EXACT_CAP = 15
 # hard ceiling on any cap: the DP keeps several lists of 2**n entries
 MAX_EXACT_CAP = 20
-# exact_median_order splits tournaments from this many vertices up.  Below
-# it finding the components costs more than the DP saves: without this
-# floor, calls on the sinkless tournaments on 2-6 vertices took about 25%
-# longer, and on random tournaments the split breaks even near n = 8.
-_SPLIT_MIN_N = 8
+# From this many vertices up, exact_median_order splits tournaments into
+# strong components and _median_dp drops the subsets its weight bound rules
+# out.  Below it both cost more than they save: with the split at every n,
+# calls on the sinkless tournaments on 2-6 vertices took about 25% longer,
+# and on random tournaments the split breaks even near n = 8.  The bounded
+# push kernel took 1.3-3.3x the whole-table time on the sinkless
+# tournaments on 3-5 vertices and 1.06x on the 26,624 on 6 vertices with
+# unit weights (0.75-0.87x with a tiebreak or weights).  On random
+# 7-vertex tournaments it took 0.55-0.76x, a gain given up for one floor.
+_LARGE_DP_N = 8
 
 
 def _check_order(d: Digraph, order: Sequence[int]) -> LinearOrder:
@@ -150,9 +166,10 @@ def exact_median_order(
     is deterministic.  With equal positive weights w the tuple is
     (w*w*C, T, 2*w*C, C) for the forward-arc count C and tie score T, which
     orders exactly like (C, T); the key then packs C and T only, or is C
-    alone without a tiebreak.
+    alone without a tiebreak.  From _LARGE_DP_N vertices up the DP keys
+    only the subsets its weight bound keeps; see `_median_dp`.
 
-    A tournament with positive weights on at least _SPLIT_MIN_N vertices is
+    A tournament with positive weights on at least _LARGE_DP_N vertices is
     solved per strong component, and the component orders are concatenated
     in condensation order; value and tie_score are read off the result.
     This returns the whole-digraph DP's order, ties included: every
@@ -174,7 +191,7 @@ def exact_median_order(
         tie_mask |= 1 << v
     if n == 0:
         return MedianResult((), Fraction(0), None)
-    split = n >= _SPLIT_MIN_N and min(weights) > 0 and d.is_tournament()
+    split = n >= _LARGE_DP_N and min(weights) > 0 and d.is_tournament()
     comps = _strong_components(d) if split else ()
     if len(comps) > 1:
         order = []
@@ -192,63 +209,50 @@ def exact_median_order(
 
 
 def _median_dp(
-    in_masks: Sequence[int], weights: Sequence[int], tie_mask: int
+    in_masks: Sequence[int],
+    weights: Sequence[int],
+    tie_mask: int,
+    lower: int | None = None,
 ) -> tuple[list[int], int, int]:
     """The subset DP of exact_median_order on n >= 1 vertices.
 
     Returns the order, its forward weight A in integer weight units and its
     tie score T (0 without a tiebreak).
+
+    Below _LARGE_DP_N vertices every subset pulls its key from all of its
+    predecessors.  From _LARGE_DP_N up the DP pushes level by level, from
+    each kept subset of size k to its supersets of size k + 1, and keeps
+    only the subsets a median order can still pass through.  With
+    h[v] = w(v) * w(N-(v)), an order with prefix S has forward weight at
+    most A(S) + sum of h[v] over v outside S, where A(S) is the A field of
+    S's best key; at the end of each level every S whose bound is below L
+    is dropped.  L is `lower` when given, which must be the forward weight
+    of some order, and otherwise the weight of `_greedy_order`.
+
+    Orders and ties are those of the whole table.  Every prefix S of a
+    key-optimal order has bound >= A_opt >= L, so it is kept.  A
+    transition of maximal key into such an S comes from a prefix S - v of
+    a key-optimal order too (the best order of S - v, then v, then the
+    rest), so S's key is exact, and pushing with `cand > value[t]`, or
+    equal with a larger v, picks the largest such v as the whole table
+    does.  Any other subset may be dropped, or keyed too low when its best
+    predecessor was dropped; neither raises a key, and no maximal-key
+    transition into a prefix of a key-optimal order starts there.  With
+    all weights zero every bound is 0 = L and nothing is dropped.
     """
     n = len(in_masks)
     size = 1 << n
     parent = [0] * size
-    value = [0] * size
     uniform = len(set(weights)) == 1 and weights[0] > 0
     # tie score T <= n(n+1)/2 <= n*n fits below tshift
     tshift = (n * n).bit_length()
-
-    if uniform and not tie_mask:
-        # unit-like weights: value reduces to the forward arc count
-        for s in range(1, size):
-            best = -1
-            best_v = -1
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                cand = value[s ^ low] + (((s ^ low) & in_masks[v]).bit_count())
-                if cand >= best:
-                    best = cand
-                    best_v = v
-            value[s] = best
-            parent[s] = best_v
-        total = value[size - 1] * weights[0] * weights[0]
-        tie = 0
-    elif uniform:
-        # key C << tshift | T
-        for s in range(1, size):
-            pos = s.bit_count()
-            best = -1
-            best_v = -1
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                prev = s ^ low
-                cand = value[prev] + ((prev & in_masks[v]).bit_count() << tshift)
-                if tie_mask & low:
-                    cand += pos
-                if cand >= best:
-                    best = cand
-                    best_v = v
-            value[s] = best
-            parent[s] = best_v
-        final = value[size - 1]
-        total = (final >> tshift) * weights[0] * weights[0]
-        tie = final & ((1 << tshift) - 1)
+    if uniform:
+        # key C << a_at | T, or C alone without a tiebreak, and A = C * w * w
+        unit = weights[0] * weights[0]
+        t_at = 0
+        a_at = tshift if tie_mask else 0
     else:
+        unit = 1
         # key A << a_at | T << t_at | E << e_at | C; each field stays below
         # the next offset: C <= pairs, E <= 2 * max(w) * pairs, T < 2**tshift
         pairs = n * (n - 1) // 2
@@ -263,28 +267,117 @@ def _median_dp(
         for s in range(1, size):
             low = s & -s
             wsum[s] = wsum[s ^ low] + weights[low.bit_length() - 1]
-        for s in range(1, size):
-            tie = s.bit_count() << t_at
-            best = -1
-            best_v = -1
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                prev = s ^ low
-                inter = prev & in_masks[v]
-                cand = value[prev] + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
-                if tie_mask & low:
-                    cand += tie
-                if cand >= best:
-                    best = cand
-                    best_v = v
-            value[s] = best
-            parent[s] = best_v
-        final = value[size - 1]
-        total = final >> a_at
-        tie = (final >> t_at) & ((1 << tshift) - 1)
+
+    if n < _LARGE_DP_N:
+        value = [0] * size
+        if uniform and not tie_mask:
+            # unit-like weights: value reduces to the forward arc count
+            for s in range(1, size):
+                best = -1
+                best_v = -1
+                m = s
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    cand = value[s ^ low] + (((s ^ low) & in_masks[v]).bit_count())
+                    if cand >= best:
+                        best = cand
+                        best_v = v
+                value[s] = best
+                parent[s] = best_v
+        elif uniform:
+            # key C << tshift | T
+            for s in range(1, size):
+                pos = s.bit_count()
+                best = -1
+                best_v = -1
+                m = s
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    prev = s ^ low
+                    cand = value[prev] + ((prev & in_masks[v]).bit_count() << tshift)
+                    if tie_mask & low:
+                        cand += pos
+                    if cand >= best:
+                        best = cand
+                        best_v = v
+                value[s] = best
+                parent[s] = best_v
+        else:
+            for s in range(1, size):
+                tie = s.bit_count() << t_at
+                best = -1
+                best_v = -1
+                m = s
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    prev = s ^ low
+                    inter = prev & in_masks[v]
+                    cand = value[prev] + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
+                    if tie_mask & low:
+                        cand += tie
+                    if cand >= best:
+                        best = cand
+                        best_v = v
+                value[s] = best
+                parent[s] = best_v
+    else:
+        if lower is None:
+            lower = _masks_forward_weight(in_masks, weights, _greedy_order(in_masks, weights))
+        if uniform:
+            # A counts arcs in units of w * w, and every order's weight is a multiple
+            lower //= unit
+            h = [m.bit_count() << a_at for m in in_masks]
+        else:
+            h = [wv * wsum[m] << a_at for wv, m in zip(weights, in_masks)]
+        # the kept S are those with value[S] >= need[S] = (L - sum h + h(S)) << a_at,
+        # that is A(S) + h(outside S) >= L; -1 marks a subset not reached yet
+        value = [-1] * size
+        need = [0] * size
+        value[0] = 0
+        need[0] = (lower << a_at) - sum(h)
+        full = size - 1
+        level = [0]
+        for pos in range(1, n + 1):
+            tie = pos << t_at
+            reached = []
+            for s in level:
+                base = value[s]
+                base_need = need[s]
+                m = full ^ s
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    if uniform:
+                        cand = base + ((s & in_masks[v]).bit_count() << a_at)
+                    else:
+                        inter = s & in_masks[v]
+                        cand = base + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
+                    if tie_mask & low:
+                        cand += tie
+                    t = s | low
+                    old = value[t]
+                    if cand > old:
+                        if old < 0:
+                            reached.append(t)
+                            need[t] = base_need + h[v]
+                        value[t] = cand
+                        parent[t] = v
+                    elif cand == old and v > parent[t]:
+                        parent[t] = v
+            level = [t for t in reached if value[t] >= need[t]]
+        if not level:
+            raise ConsistencyError(f"lower bound {lower} exceeds the optimum")
+
+    final = value[size - 1]
+    total = (final >> a_at) * unit
+    tie = (final >> t_at) & ((1 << tshift) - 1) if tie_mask else 0
 
     order = []
     s = size - 1
@@ -294,6 +387,43 @@ def _median_dp(
         s ^= 1 << v
     order.reverse()
     return order, total, tie
+
+
+def _masks_forward_weight(
+    in_masks: Sequence[int], weights: Sequence[int], order: Sequence[int]
+) -> int:
+    """Forward weight of an order of the vertices 0..n-1 of in_masks, in integer units."""
+    total = 0
+    placed = 0
+    for v in order:
+        total += weights[v] * sum(weights[u] for u in mask_to_set(placed & in_masks[v]))
+        placed |= 1 << v
+    return total
+
+
+def _greedy_order(in_masks: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """A cheap order of the vertices 0..n-1 of in_masks, for the DP's lower bound.
+
+    Vertices are sorted by weighted balance w(v) * (w(N-(v)) - w(N+(v))),
+    then adjacent vertices joined by a backward arc are swapped until none
+    is left.  A swap turns one backward arc forward and moves no other
+    pair, so the loop ends, and no swap lowers the forward weight.
+    """
+    n = len(in_masks)
+    balance = [0] * n
+    for v, m in enumerate(in_masks):
+        for u in mask_to_set(m):
+            balance[v] += weights[u]
+            balance[u] -= weights[v]
+    order = sorted(range(n), key=lambda v: weights[v] * balance[v])
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(n - 1):
+            if in_masks[order[i]] >> order[i + 1] & 1:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                swapped = True
+    return order
 
 
 def _strong_components(d: Digraph) -> list[VertexSet]:
@@ -329,13 +459,15 @@ def _local_in_masks(d: Digraph, comp: VertexSet) -> list[int]:
     ]
 
 
-def _median_value(d: Digraph, weights: Sequence[int]) -> int:
-    """Optimal forward weight of d, in integer weight units, without an order.
+def _median_value(d: Digraph, weights: Sequence[int], order: Sequence[int]) -> int:
+    """Optimal forward weight of d, in integer weight units.
 
     In a topological order of the condensation every arc between strong
     components is forward, so the optimum is the weight of those arcs plus
     each component's own optimum.  This holds for any digraph and any
     nonnegative weights: only the order, not its value, depends on ties.
+    order, any order of d, seeds each component's DP with a lower bound:
+    the forward weight of its restriction to that component.
     """
     total = 0
     for comp in _strong_components(d):
@@ -344,7 +476,13 @@ def _median_value(d: Digraph, weights: Sequence[int]) -> int:
             outside = d.in_mask(v) & ~members
             total += weights[v] * sum(weights[u] for u in mask_to_set(outside))
         if len(comp) > 1:
-            total += _median_dp(_local_in_masks(d, comp), [weights[v] for v in comp], 0)[1]
+            in_masks = _local_in_masks(d, comp)
+            local_w = [weights[v] for v in comp]
+            index = {v: i for i, v in enumerate(comp)}
+            lower = _masks_forward_weight(
+                in_masks, local_w, [index[v] for v in order if v in index]
+            )
+            total += _median_dp(in_masks, local_w, 0, lower)[1]
     return total
 
 
@@ -638,7 +776,7 @@ def good_median_order(
     order = tuple(result)
     if d.n <= cap:
         _check_exact_cap(d.n, cap)
-        if _eps_triple(d, order, weights)[0] != _median_value(d, weights):
+        if _eps_triple(d, order, weights)[0] != _median_value(d, weights, order):
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

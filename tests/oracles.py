@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 from seymour.digraph import Digraph, Weighting, resolve_weights
 
@@ -57,3 +58,110 @@ def brute_convenient(d: Digraph, a: int, b: int) -> bool:
 def brute_is_king(t: Digraph, v: int) -> bool:
     reach = {v} | set(t.neighbors(v, "out")) | set(brute_second_out(t, v))
     return len(reach) == t.n
+
+
+def whole_table_median_dp(
+    in_masks: Sequence[int], weights: Sequence[int], tie_mask: int
+) -> tuple[list[int], int, int]:
+    """Whole-table subset DP: every subset's best key, pulled from all of
+    its predecessors.  The reference the bounded kernel
+    `orders._median_dp` must match exactly in order, value and tie score.
+
+    Returns the order, its forward weight A in integer weight units and its
+    tie score T (0 without a tiebreak).
+    """
+    n = len(in_masks)
+    size = 1 << n
+    parent = [0] * size
+    value = [0] * size
+    uniform = len(set(weights)) == 1 and weights[0] > 0
+    # tie score T <= n(n+1)/2 <= n*n fits below tshift
+    tshift = (n * n).bit_length()
+
+    if uniform and not tie_mask:
+        # unit-like weights: value reduces to the forward arc count
+        for s in range(1, size):
+            best = -1
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                cand = value[s ^ low] + (((s ^ low) & in_masks[v]).bit_count())
+                if cand >= best:
+                    best = cand
+                    best_v = v
+            value[s] = best
+            parent[s] = best_v
+        total = value[size - 1] * weights[0] * weights[0]
+        tie = 0
+    elif uniform:
+        # key C << tshift | T
+        for s in range(1, size):
+            pos = s.bit_count()
+            best = -1
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                prev = s ^ low
+                cand = value[prev] + ((prev & in_masks[v]).bit_count() << tshift)
+                if tie_mask & low:
+                    cand += pos
+                if cand >= best:
+                    best = cand
+                    best_v = v
+            value[s] = best
+            parent[s] = best_v
+        final = value[size - 1]
+        total = (final >> tshift) * weights[0] * weights[0]
+        tie = final & ((1 << tshift) - 1)
+    else:
+        # key A << a_at | T << t_at | E << e_at | C; each field stays below
+        # the next offset: C <= pairs, E <= 2 * max(w) * pairs, T < 2**tshift
+        pairs = n * (n - 1) // 2
+        e_at = pairs.bit_length()
+        t_at = e_at + (2 * max(weights) * pairs).bit_length()
+        a_at = t_at + tshift
+        # a transition adds w(v) * sw to A, sw + cnt * w(v) to E and cnt to
+        # C, where sw and cnt are the weight and size of prev & in_masks[v]
+        per_sw = [(wv << a_at) + (1 << e_at) for wv in weights]
+        per_cnt = [(wv << e_at) + 1 for wv in weights]
+        wsum = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            wsum[s] = wsum[s ^ low] + weights[low.bit_length() - 1]
+        for s in range(1, size):
+            tie = s.bit_count() << t_at
+            best = -1
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                prev = s ^ low
+                inter = prev & in_masks[v]
+                cand = value[prev] + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
+                if tie_mask & low:
+                    cand += tie
+                if cand >= best:
+                    best = cand
+                    best_v = v
+            value[s] = best
+            parent[s] = best_v
+        final = value[size - 1]
+        total = final >> a_at
+        tie = (final >> t_at) & ((1 << tshift) - 1)
+
+    order = []
+    s = size - 1
+    while s:
+        v = parent[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    return order, total, tie

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
-from seymour.digraph import Digraph, Weighting
+from seymour.digraph import Digraph, Weighting, set_to_mask
 from seymour.errors import ExactBoundExceededError, NotGoodDigraphError, VertexRangeError
 from seymour import orders
 from seymour.forge import (
@@ -28,7 +28,7 @@ from seymour.orders import (
     sediment,
 )
 
-from oracles import brute_forward_weight, brute_median_value
+from oracles import brute_forward_weight, brute_median_value, whole_table_median_dp
 
 
 def test_forward_weight_examples():
@@ -335,12 +335,14 @@ def block_digraph(draw):
     return Digraph(n, arcs), w
 
 
-@given(block_digraph())
+@given(block_digraph(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_value_split_matches_the_whole_dp(dw):
+def test_value_split_matches_the_whole_dp(dw, data):
     d, w = dw
     weights, scale = orders._int_weights(d, w)
-    value = Fraction(orders._median_value(d, weights), scale * scale)
+    # any order seeds a valid lower bound
+    seed_order = data.draw(st.permutations(range(d.n)))
+    value = Fraction(orders._median_value(d, weights, seed_order), scale * scale)
     assert value == exact_median_order(d, w).value
 
 
@@ -369,3 +371,98 @@ def test_order_split_runs_the_dp_per_strong_component(monkeypatch):
         assert [set(res.order[5 * b : 5 * b + 5]) for b in range(4)] == [set(b) for b in blocks]
         assert res.value == forward_weight(d, res.order, w)
         assert satisfies_feedback(d, res.order, w).ok
+
+
+@st.composite
+def dp_instance(draw):
+    """Kernel inputs on 8-13 vertices: in-masks, integer weights, tie mask and
+    an optional lower bound, the forward weight of a random order."""
+    n = draw(st.integers(8, 13))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        d = random_tournament(n, seed)
+        while len(orders._strong_components(d)) > 1:
+            seed += 1
+            d = random_tournament(n, seed)
+    else:
+        d = random_digraph(n, seed, draw(st.floats(0.4, 0.9)))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(["unit", "uniform", "zero", "mixed"]))
+    low, high = {"unit": (1, 1), "uniform": (3, 3), "zero": (0, 3), "mixed": (1, 6)}[kind]
+    weights = [rng.randint(low, high) for _ in range(n)]
+    tie_mask = set_to_mask(rng.sample(range(n), draw(st.sampled_from([0, 1, 3]))))
+    in_masks = [d.in_mask(v) for v in range(n)]
+    lower = None
+    if draw(st.booleans()):
+        lower = orders._masks_forward_weight(in_masks, weights, draw(st.permutations(range(n))))
+    return in_masks, weights, tie_mask, lower
+
+
+@given(dp_instance())
+@settings(max_examples=60, deadline=None)
+def test_bounded_dp_matches_the_whole_table(inst):
+    in_masks, weights, tie_mask, lower = inst
+    expected = whole_table_median_dp(in_masks, weights, tie_mask)
+    assert orders._median_dp(in_masks, weights, tie_mask, lower) == expected
+    greedy = orders._greedy_order(in_masks, weights)
+    assert sorted(greedy) == list(range(len(in_masks)))
+    assert orders._masks_forward_weight(in_masks, weights, greedy) <= expected[1]
+
+
+class _CountedMasks(list):
+    """In-masks that count their reads: the DP reads in_masks[v] once per transition."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _bounded_dp(in_masks, weights, tie_mask=0):
+    """_median_dp's result with the greedy lower bound, and its transitions."""
+    lower = orders._masks_forward_weight(in_masks, weights, orders._greedy_order(in_masks, weights))
+    counted = _CountedMasks(in_masks)
+    res = orders._median_dp(counted, weights, tie_mask, lower)
+    return res, counted.reads
+
+
+def test_bounded_dp_drops_nothing_with_zero_weights():
+    n = 10
+    in_masks = [random_tournament(n, 4).in_mask(v) for v in range(n)]
+    tie_mask = 0b1000100010
+    res, transitions = _bounded_dp(in_masks, [0] * n, tie_mask)
+    assert res == whole_table_median_dp(in_masks, [0] * n, tie_mask)
+    assert transitions == n * 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [7, 8, 11])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_bounded_dp_keeps_only_the_path_of_a_transitive_tournament(n, weighted):
+    rng = random.Random(n)
+    label = list(range(n))
+    rng.shuffle(label)
+    d = Digraph(n, [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)])
+    in_masks = [d.in_mask(v) for v in range(n)]
+    weights = [rng.randint(1, 5) for _ in range(n)] if weighted else [1] * n
+    greedy = orders._greedy_order(in_masks, weights)
+    (order, value, _), transitions = _bounded_dp(in_masks, weights)
+    # the greedy order is optimal here, so below the floor the whole table
+    # runs, and from it up only the prefixes of the one median order survive
+    assert greedy == order == label
+    assert orders._masks_forward_weight(in_masks, weights, greedy) == value
+    if n < orders._LARGE_DP_N:
+        assert transitions == n * 2 ** (n - 1)
+    else:
+        assert transitions == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_bounded_dp_matches_the_whole_table_around_the_floor(n):
+    for seed in range(6):
+        in_masks = [random_tournament(n, seed).in_mask(v) for v in range(n)]
+        rng = random.Random(seed)
+        for weights in ([1] * n, [rng.randint(0, 4) for _ in range(n)]):
+            for tie_mask in (0, 1 << rng.randrange(n)):
+                expected = whole_table_median_dp(in_masks, weights, tie_mask)
+                assert orders._median_dp(in_masks, weights, tie_mask) == expected
