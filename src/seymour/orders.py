@@ -68,12 +68,15 @@ median order passes through.  With h[v] = w(v) * w(N-(v)), any order with
 prefix S has forward weight at most A(S) + sum of h[v] over v outside S,
 where A(S) is the A field of S's best key; a subset whose bound is below
 the forward weight L of a known order is dropped.  L is the weight of a
-cheap order (`_greedy_order`), or, in `good_median_order`'s check, of the
-checked order restricted to the component.  Every prefix of a key-optimal
-order has bound >= A_opt >= L, so the kept subsets still hold every
-maximal-key transition, and orders and ties are unchanged; see
-`_median_dp`.  Below the floor both the split and the bound cost more
-than they save.
+local median order (`_greedy_order`: a balance sort, then single-vertex
+reinsertion until no move gains), or, in `good_median_order`'s check, of
+the checked order restricted to the component.  That check runs no DP on
+a component that is one of its K(xi) blocks: it adds the optimum the
+block's own solve returned, so each block is solved once per call.
+Every prefix of a key-optimal order has bound >= A_opt >= L, so the kept
+subsets still hold every maximal-key transition, and orders and ties are
+unchanged; see `_median_dp`.  Below the floor both the split and the
+bound cost more than they save.
 """
 
 from __future__ import annotations
@@ -227,7 +230,9 @@ def _median_dp(
     most A(S) + sum of h[v] over v outside S, where A(S) is the A field of
     S's best key; at the end of each level every S whose bound is below L
     is dropped.  L is `lower` when given, which must be the forward weight
-    of some order, and otherwise the weight of `_greedy_order`.
+    of some order, and otherwise the weight of the local median order
+    `_greedy_order`; the closer L is to the optimum, the fewer subsets
+    are kept.
 
     Orders and ties are those of the whole table.  Every prefix S of a
     key-optimal order has bound >= A_opt >= L, so it is kept.  A
@@ -402,12 +407,18 @@ def _masks_forward_weight(
 
 
 def _greedy_order(in_masks: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """A cheap order of the vertices 0..n-1 of in_masks, for the DP's lower bound.
+    """A local median order of the vertices 0..n-1 of in_masks, for the DP's lower bound.
 
     Vertices are sorted by weighted balance w(v) * (w(N-(v)) - w(N+(v))),
-    then adjacent vertices joined by a backward arc are swapped until none
-    is left.  A swap turns one backward arc forward and moves no other
-    pair, so the loop ends, and no swap lowers the forward weight.
+    then each vertex in turn moves to the position that gains it the most
+    (the farthest one on a tie), until no vertex gains.  Moving v past the
+    interval I gains g = w(N-_I(v)) - w(N+_I(v)) toward the end, or its
+    negative toward the start; a move needs g > 0 and adds w(v) * g to the
+    forward weight A, so no move lowers it.  With w(v) = 0 it adds g to the
+    epsilon term E of the module docstring instead, so (A, E) rises with
+    every move and the loop ends.  At the end no vertex gains, which is the
+    interval feedback property, zero weights included: the result is a
+    local median order, and its weight is the DP's L.
     """
     n = len(in_masks)
     balance = [0] * n
@@ -416,13 +427,29 @@ def _greedy_order(in_masks: Sequence[int], weights: Sequence[int]) -> list[int]:
             balance[v] += weights[u]
             balance[u] -= weights[v]
     order = sorted(range(n), key=lambda v: weights[v] * balance[v])
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(n - 1):
-            if in_masks[order[i]] >> order[i + 1] & 1:
-                order[i], order[i + 1] = order[i + 1], order[i]
-                swapped = True
+    moved = True
+    while moved:
+        moved = False
+        for v in range(n):
+            i = order.index(v)
+            in_m = in_masks[v]
+            best = 0
+            target = i
+            # sign 1 moves v toward the end, where in-neighbors gain; -1 toward the start
+            for span, sign in ((range(i + 1, n), 1), (range(i - 1, -1, -1), -1)):
+                g = 0
+                for j in span:
+                    u = order[j]
+                    if in_m >> u & 1:
+                        g += sign * weights[u]
+                    elif in_masks[u] >> v & 1:
+                        g -= sign * weights[u]
+                    if g > 0 and g >= best:
+                        best = g
+                        target = j
+            if target != i:
+                order.insert(target, order.pop(i))
+                moved = True
     return order
 
 
@@ -459,15 +486,23 @@ def _local_in_masks(d: Digraph, comp: VertexSet) -> list[int]:
     ]
 
 
-def _median_value(d: Digraph, weights: Sequence[int], order: Sequence[int]) -> int:
+def _median_value(
+    d: Digraph,
+    weights: Sequence[int],
+    order: Sequence[int],
+    solved: dict[VertexSet, int] | None = None,
+) -> int:
     """Optimal forward weight of d, in integer weight units.
 
     In a topological order of the condensation every arc between strong
     components is forward, so the optimum is the weight of those arcs plus
     each component's own optimum.  This holds for any digraph and any
     nonnegative weights: only the order, not its value, depends on ties.
-    order, any order of d, seeds each component's DP with a lower bound:
-    the forward weight of its restriction to that component.
+    A component whose sorted vertex tuple is a key of solved adds the
+    optimum stored there, which must be the value the DP returned for the
+    subdigraph induced on it.  Any other component runs the DP, seeded
+    with a lower bound from order, any order of d: the forward weight of
+    its restriction to that component.
     """
     total = 0
     for comp in _strong_components(d):
@@ -475,7 +510,9 @@ def _median_value(d: Digraph, weights: Sequence[int], order: Sequence[int]) -> i
         for v in comp:
             outside = d.in_mask(v) & ~members
             total += weights[v] * sum(weights[u] for u in mask_to_set(outside))
-        if len(comp) > 1:
+        if solved and comp in solved:
+            total += solved[comp]
+        elif len(comp) > 1:
             in_masks = _local_in_masks(d, comp)
             local_w = [weights[v] for v in comp]
             index = {v: i for i, v in enumerate(comp)}
@@ -720,7 +757,8 @@ def good_median_order(
     vertices) is ordered optimally and each block internally optimally; when
     a.d has at most cap vertices, the result's forward weight is checked
     against the unconstrained optimum, whose value is solved per strong
-    component.
+    component.  A component that is a block adds the optimum its block's
+    solve returned, so a block order that misses it still fails the check.
     """
     d = a.d
     weights = _int_weights(d, w)[0]
@@ -759,6 +797,9 @@ def good_median_order(
     block_order = exact_median_order(quotient, q_weights, cap=cap).order
 
     result: list[int] = []
+    # each block's optimum, by its sorted vertex tuple, so that the check
+    # below solves no block that is a strong component a second time
+    solved: dict[VertexSet, int] = {}
     for bi in block_order:
         members = blocks[bi]
         if len(members) == 1:
@@ -770,13 +811,15 @@ def good_median_order(
             raise ExactBoundExceededError(
                 f"block of size {sub.n} exceeds exact cap {cap}"
             )
-        inner = exact_median_order(sub, sub_w, cap=cap).order
-        result.extend(mapping[i] for i in inner)
+        inner = exact_median_order(sub, sub_w, cap=cap)
+        # integer block weights: the value is in the units of weights
+        solved[mapping] = inner.value.numerator
+        result.extend(mapping[i] for i in inner.order)
 
     order = tuple(result)
     if d.n <= cap:
         _check_exact_cap(d.n, cap)
-        if _eps_triple(d, order, weights)[0] != _median_value(d, weights, order):
+        if _eps_triple(d, order, weights)[0] != _median_value(d, weights, order, solved):
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

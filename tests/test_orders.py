@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,8 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
-from seymour.digraph import Digraph, Weighting, set_to_mask
-from seymour.errors import ExactBoundExceededError, NotGoodDigraphError, VertexRangeError
+from seymour.digraph import Digraph, Weighting, mask_to_set, set_to_mask
+from seymour.errors import (
+    ConsistencyError,
+    ExactBoundExceededError,
+    NotGoodDigraphError,
+    VertexRangeError,
+)
 from seymour import orders
 from seymour.forge import (
     all_kings_tournament,
@@ -18,6 +24,7 @@ from seymour.forge import (
 )
 from seymour.orders import (
     MAX_EXACT_CAP,
+    MedianResult,
     analyze,
     exact_median_order,
     forward_weight,
@@ -407,6 +414,9 @@ def test_bounded_dp_matches_the_whole_table(inst):
     greedy = orders._greedy_order(in_masks, weights)
     assert sorted(greedy) == list(range(len(in_masks)))
     assert orders._masks_forward_weight(in_masks, weights, greedy) <= expected[1]
+    # no vertex gains by reinsertion, zero weights included
+    d = Digraph(len(in_masks), [(u, v) for v, m in enumerate(in_masks) for u in mask_to_set(m)])
+    assert satisfies_feedback(d, greedy, Weighting(weights)).ok
 
 
 class _CountedMasks(list):
@@ -466,3 +476,56 @@ def test_bounded_dp_matches_the_whole_table_around_the_floor(n):
             for tie_mask in (0, 1 << rng.randrange(n)):
                 expected = whole_table_median_dp(in_masks, weights, tie_mask)
                 assert orders._median_dp(in_masks, weights, tie_mask) == expected
+
+
+def _strong_block_instance():
+    """Instance 4 of filtered_search("matching-F-empty-no-sink", 12, 1, budget=200,
+    count=5): its one K(xi) block, 8 of its 10 vertices, is a strong component."""
+    arcs = [
+        (0, 2), (0, 5), (0, 7), (1, 4), (1, 6), (1, 8), (2, 1), (2, 5), (2, 6),
+        (3, 0), (3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+        (4, 0), (4, 2), (4, 7), (5, 1), (5, 6), (5, 8), (6, 0), (6, 4), (6, 8),
+        (7, 1), (7, 2), (7, 5), (8, 0), (8, 4), (8, 7),
+    ]
+    arcs += [(9, v) for v in range(9)]
+    a = Analysis(Digraph(10, arcs))
+    (block,) = a.ci.k_of_xi
+    assert len(block) == 8 and block in orders._strong_components(a.d)
+    return a, block
+
+
+@pytest.mark.parametrize("w", [None, Weighting([Fraction(1 + v % 3, 2) for v in range(10)])])
+def test_good_median_order_solves_each_block_once(monkeypatch, w):
+    a, block = _strong_block_instance()
+    weights = orders._int_weights(a.d, w)[0]
+    block_key = (tuple(orders._local_in_masks(a.d, block)), tuple(weights[v] for v in block))
+    calls = Counter()
+    kernel = orders._median_dp
+
+    def counted(in_masks, weights, tie_mask, lower=None):
+        calls[tuple(in_masks), tuple(weights)] += 1
+        return kernel(in_masks, weights, tie_mask, lower)
+
+    monkeypatch.setattr(orders, "_median_dp", counted)
+    order = good_median_order(a, w)
+    assert calls[block_key] == 1
+    assert sum(k for (masks, _), k in calls.items() if len(masks) >= 8) == 1
+    assert forward_weight(a.d, order, w) == exact_median_order(a.d, w).value
+
+
+def test_good_median_order_check_fires_on_a_worse_block_order(monkeypatch):
+    a, block = _strong_block_instance()
+    sub, _ = a.d.induced(block)
+    best = exact_median_order(sub)
+    worse = best.order[::-1]
+    assert forward_weight(sub, worse) < best.value
+    exact = orders.exact_median_order
+
+    def worse_block(d, *args, **kwargs):
+        res = exact(d, *args, **kwargs)
+        # the block's order loses weight, but its value is still the optimum
+        return MedianResult(worse, res.value, res.tie_score) if d == sub else res
+
+    monkeypatch.setattr(orders, "exact_median_order", worse_block)
+    with pytest.raises(ConsistencyError):
+        good_median_order(a)
