@@ -52,6 +52,9 @@ SWEEP_FAMILIES = EXHAUSTIVE_FAMILIES + forge.SEARCH_PREDICATES
 
 WEIGHTS_IGNORED = "instance weights ignored: theorem procedures are unweighted"
 
+# the pool forks every worker at once, so --jobs has a ceiling
+MAX_JOBS = 64
+
 
 class UsageError(Exception):
     """A bad command line or instance spec; exits 2."""
@@ -375,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=_env_default("jobs", 1),
-        help="worker processes for exhaustive sweeps (default 1)",
+        help=f"worker processes for exhaustive sweeps (default 1, at most {MAX_JOBS})",
     )
 
     parser = argparse.ArgumentParser(
@@ -410,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=SWEEP_FAMILIES)
     p.add_argument(
         "--max-n", type=int, default=12,
-        help="largest instance size for filtered sweeps (default 12)",
+        help=f"largest instance size for filtered sweeps (default 12, at least {forge.MIN_SEARCH_N})",
     )
     p.set_defaults(handler=cmd_sweep)
 
@@ -431,6 +434,12 @@ def main(argv=None) -> int:
     if args.cap_exact > MAX_EXACT_CAP:
         parser.error(
             f"--cap-exact {args.cap_exact} exceeds the exact solver's ceiling {MAX_EXACT_CAP}"
+        )
+    if args.jobs > MAX_JOBS:
+        parser.error(f"--jobs {args.jobs} exceeds the ceiling {MAX_JOBS}")
+    if getattr(args, "max_n", forge.MIN_SEARCH_N) < forge.MIN_SEARCH_N:
+        parser.error(
+            f"--max-n {args.max_n} is below the filtered search's floor {forge.MIN_SEARCH_N}"
         )
     try:
         result = args.handler(args)

@@ -3,9 +3,9 @@
 Missing edge x1y1 loses to missing edge x2y2 when, for some labeling of the
 endpoints, x1 -> x2 with y2 outside N+(x1) and N++(x1), and y1 -> y2 with
 x2 outside N+(y1) and N++(y1).  losing_roles is the one test of this
-condition: loses_to and the role labeling of propagate_roles call it.  The
-dependency digraph has the missing edges as vertices and one arc per losing
-pair (digons allowed there).
+condition: loses_to, dependency_digraph and the role labeling of
+propagate_roles call it.  The dependency digraph has the missing edges as
+vertices and one arc per losing pair (digons allowed there).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def dependency_digraph(d: Digraph) -> DependencyDigraph:
         for e2 in edges:
             if e1 == e2:
                 continue
-            if loses_to(d, e1, e2) is not None:
+            if losing_roles(d, e1, e2, min(e1)) is not None:
                 arcs.append((e1, e2))
                 succ[e1].append(e2)
                 pred[e2].append(e1)

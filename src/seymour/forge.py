@@ -414,6 +414,9 @@ _PROPOSERS: dict[str, Callable[[int, random.Random], Digraph]] = {
 
 SEARCH_PREDICATES = tuple(_PROPOSERS)
 
+# filtered_search draws instance sizes from MIN_SEARCH_N..n
+MIN_SEARCH_N = 4
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -448,7 +451,7 @@ def filtered_search(
     seen: set[str] = set()
     attempts = 0
     for attempts in range(1, budget + 1):
-        size = rng.randint(max(4, min(6, n)), n)
+        size = rng.randint(max(MIN_SEARCH_N, min(6, n)), n)
         try:
             cand = _relabel(propose(size, rng), rng)
         except (ValueError, ConsistencyError):

@@ -15,7 +15,7 @@ wrong certificate.
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .digraph import Digraph, Weighting, resolve_weights, VertexSet
+from .digraph import Digraph, Weighting, resolve_weights, set_to_mask, VertexSet
 from .stars import (
     MAX_READINGS,
     Edge,
@@ -65,12 +65,23 @@ def snp_set(d: Digraph, w: Weighting | None = None) -> VertexSet:
     return tuple(v for v in range(d.n) if has_snp(d, v, w))
 
 
+def _king_within(d: Digraph, v: int, members: int) -> bool:
+    """True when v reaches every vertex of the mask members within two steps
+    inside members: both steps stay in members."""
+    first = d.out_mask(v) & members
+    reach = (1 << v) | first
+    while first:
+        low = first & -first
+        reach |= d.out_mask(low.bit_length() - 1)
+        first ^= low
+    return reach & members == members
+
+
 def is_king(t: Digraph, v: int) -> bool:
     """In a tournament: every other vertex is reached in at most two steps."""
     if not t.is_tournament():
         raise ValueError("is_king is defined for tournaments")
-    reach = (1 << v) | t.out_mask(v) | t.second_mask(v)
-    return reach == (1 << t.n) - 1
+    return _king_within(t, v, (1 << t.n) - 1)
 
 
 def all_kings(t: Digraph) -> bool:
@@ -214,12 +225,15 @@ def _kings_reading(a: Analysis) -> tuple[Star, ...] | None:
     """The first star reading whose centers induce an all-kings tournament.
 
     Without missing edges the reading is empty; None when no reading works.
+    The centers of different stars are always adjacent, because a missing
+    edge lies inside one star, so they induce a tournament and each reading
+    only needs every center to be a king within the center mask.
     """
     if a.dec.component_count() == 0:
         return ()
     for stars in center_assignments(a.dec):
-        sub, _ = a.d.induced([s.center for s in stars])
-        if sub.is_tournament() and all_kings(sub):
+        centers = set_to_mask(s.center for s in stars)
+        if all(_king_within(a.d, s.center, centers) for s in stars):
             return stars
     return None
 
@@ -444,15 +458,16 @@ def _three_star_readings(d: Digraph, dec: StarDecomposition):
                 yield (sx.center, sx.leaves, sy.center, sy.leaves, sz.center, sz.leaves)
 
 
-def _claimed_roles(d: Digraph, readings, claim):
-    """The first reading satisfying claim, else the first reading."""
-    first = None
+def _claimed_roles(d: Digraph, readings, claim, error: str):
+    """The first reading satisfying claim; ConsistencyError(error) when none does.
+
+    The gate's positive dependency degrees force the claimed arc pattern,
+    so a reading without it is no fallback: the roles must satisfy claim.
+    """
     for roles in readings:
         if claim(d, *roles):
             return roles
-        if first is None:
-            first = roles
-    return first
+    raise ConsistencyError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +480,16 @@ def _center_of(stars: Sequence[Star]) -> dict[Edge, int]:
 
 
 def _orient_missing_edges(d: Digraph, stars: Sequence[Star], dd: DependencyDigraph):
-    """Good edges conveniently, every other edge toward its star center.
+    """Every missing edge toward its star center.
 
-    Returns the completed tournament and one note per edge.  Good edges
-    (dependency in-degree zero) always admit a convenient orientation; its
-    absence is a consistency failure.
+    Returns the completed tournament and one note per edge, in dd.edges
+    order.  The two- and three-stars gates require min(delta+_Delta,
+    delta-_Delta) > 0, so no edge is good (in-degree 0 in the dependency
+    digraph) and none is oriented conveniently.
     """
     center_of = _center_of(stars)
-    arcs = []
-    notes = []
-    for e in dd.edges:
-        if dd.in_degree(e) == 0:
-            cos = convenient_orientations(d, e)
-            if not cos:
-                raise ConsistencyError(
-                    f"good edge {edge_pair(e)} has no convenient orientation"
-                )
-            arcs.append(cos[0])
-            notes.append(f"{edge_pair(e)} convenient {cos[0]}")
-        else:
-            c = center_of[e]
-            leaf = next(iter(e - {c}))
-            arcs.append((leaf, c))
-            notes.append(f"{edge_pair(e)} toward center {c}")
-    return d.complete(arcs), notes
+    notes = [f"{edge_pair(e)} toward center {center_of[e]}" for e in dd.edges]
+    return d.complete(orient_toward_centers(stars)), notes
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +578,8 @@ def _interval_candidates(
 
     When J holds every center, lead comes first, then inner_witnesses of the
     tournament J minus the centers; the feed and the rest of J follow.
+    J minus the centers needs no tournament test: every missing edge meets
+    a center.
     """
 
     def candidates(jset: VertexSet, feed: int) -> list[int]:
@@ -586,8 +589,7 @@ def _interval_candidates(
             rest = [v for v in jset if v not in centers]
             if rest:
                 sub, mapping = d.induced(rest)
-                if sub.is_tournament():
-                    cands.extend(mapping[w] for w in inner_witnesses(sub))
+                cands.extend(mapping[w] for w in inner_witnesses(sub))
         for v in (feed, *jset):
             if v not in cands:
                 cands.append(v)
@@ -692,7 +694,11 @@ def _tournament_feed(d: Digraph, gate: GateResult, cap: int) -> SnpCertificate:
 
 
 def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
-    """Orient the star toward its center, maximize the center's index, take the feed."""
+    """Orient the star toward its center, maximize the center's index, take the feed.
+
+    A leaf feed f has the arc f -> x in the completed tournament, so the
+    center x is never good there, and no sedimentation step can raise it.
+    """
     a, gate = _require(gate_single_star, d)
     dec = a.dec
     if dec.component_count() == 0:
@@ -703,21 +709,14 @@ def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
     res = exact_median_order(t, tiebreak=[x], cap=cap)
     f = res.order[-1]
     trace = [f"median order {list(res.order)} (index of {x} maximal)"]
-    findings = []
     if f == x:
         case = "center-feed"
     elif d.is_whole(f):
         case = "whole-feed"
     else:
         case = "leaf-feed-reoriented"
-        ana = analyze(t, res.order)
-        if x in ana.good and t.degree(f) == len(ana.good):
-            findings.append(
-                "sed(L) would raise the center's index past an index-maximal "
-                "order; exact solver invariant violated"
-            )
     trace.append(f"case {case}")
-    return _certify(d, gate, [f], trace, findings)
+    return _certify(d, gate, [f], trace)
 
 
 def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]], list[str]]:
@@ -862,12 +861,11 @@ def two_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificat
 
 def two_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     a, gate = _require(gate_two_stars_two, d)
-    x, a_set, y, b_set = _claimed_roles(d, _two_star_readings(d, a.dec), _two_star_claim_holds)
-    if not _two_star_claim_holds(d, x, a_set, y, b_set):
-        raise ConsistencyError(
-            "two-stars-two: positive dependency degrees must force "
-            f"{y}->A and B->{x}, but they do not"
-        )
+    x, a_set, y, b_set = _claimed_roles(
+        d, _two_star_readings(d, a.dec), _two_star_claim_holds,
+        "two-stars-two: positive dependency degrees must force "
+        "y->A and B->x in some reading, but they do not",
+    )
     trace = [f"roles x={x} A={list(a_set)} y={y} B={list(b_set)}"]
     kv_candidates = None
     if len({x, y, *a_set, *b_set}) == d.n:
@@ -928,13 +926,10 @@ def _three_star_qualifying_center(x, a_set, y, b_set, z, c_set) -> int:
 def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     a, gate = _require(gate_three_stars_two, d)
     x, a_set, y, b_set, z, c_set = _claimed_roles(
-        d, _three_star_readings(d, a.dec), _three_star_claim_holds
+        d, _three_star_readings(d, a.dec), _three_star_claim_holds,
+        "three-stars-two: positive dependency degrees must force the "
+        "cyclic pattern B->x->C->y->A->z->B, but they do not",
     )
-    if not _three_star_claim_holds(d, x, a_set, y, b_set, z, c_set):
-        raise ConsistencyError(
-            "three-stars-two: positive dependency degrees must force the "
-            "cyclic pattern B->x->C->y->A->z->B, but they do not"
-        )
     trace = [
         f"roles x={x} A={list(a_set)} y={y} B={list(b_set)} z={z} C={list(c_set)}"
     ]

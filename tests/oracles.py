@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to validate the fast paths."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Sequence
 
 from seymour.digraph import Digraph, Weighting, resolve_weights
+from seymour.stars import Star, StarDecomposition
 
 
 def brute_second_out(d: Digraph, v: int) -> tuple[int, ...]:
@@ -58,6 +59,22 @@ def brute_convenient(d: Digraph, a: int, b: int) -> bool:
 def brute_is_king(t: Digraph, v: int) -> bool:
     reach = {v} | set(t.neighbors(v, "out")) | set(brute_second_out(t, v))
     return len(reach) == t.n
+
+
+def brute_kings_reading(d: Digraph, dec: StarDecomposition) -> tuple[Star, ...] | None:
+    """The first star reading, over all 2 ** len(dec.matching) of them, whose
+    centers induce an all-kings tournament: an induced subdigraph and
+    brute_is_king per reading.  () without missing edges, None when no
+    reading works.  The reference the gate's mask test must match."""
+    if dec.component_count() == 0:
+        return ()
+    choices = [(Star(u, (v,)), Star(v, (u,))) for u, v in dec.matching]
+    for combo in product(*choices):
+        stars = dec.stars + combo
+        sub, _ = d.induced([s.center for s in stars])
+        if sub.is_tournament() and all(brute_is_king(sub, v) for v in range(sub.n)):
+            return stars
+    return None
 
 
 def whole_table_median_dp(

@@ -62,6 +62,36 @@ def test_cap_exact_above_the_ceiling_exits_two(capsys):
     assert err.startswith("usage:") and "ceiling 20" in err
 
 
+@pytest.mark.parametrize("max_n", ["3", "2"])
+def test_max_n_below_the_search_floor_exits_two(max_n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "two-stars", "--max-n", max_n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "floor 4" in err
+
+
+def test_max_n_at_the_search_floor_is_accepted(capsys):
+    assert run(["sweep", "two-stars", "--max-n", "4"], capsys)[0] == 0
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+
+@pytest.mark.parametrize("flag, env", [(["--jobs", "65"], None), ([], "10000")])
+def test_jobs_above_the_ceiling_exits_two(flag, env, capsys, monkeypatch):
+    monkeypatch.setattr("seymour.cli.ProcessPoolExecutor", _NoPool)
+    if env is not None:
+        monkeypatch.setenv("SNCWB_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "tournaments-n6", *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "ceiling 64" in err
+
+
 def test_sediment_c3_periodic(capsys):
     code, out = run(
         ["sediment", "C3", "--order", "0,1,2", "--format", "machine"], capsys

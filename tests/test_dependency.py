@@ -70,6 +70,11 @@ def test_losing_roles_pair_the_endpoints_once(seed, n):
                 assert losing_roles(d, e1, e2, q) == roles[::-1]
                 w = loses_to(d, e1, e2)
                 assert (w.x1, w.y1, w.x2, w.y2) == (p, q, *roles)
+    # the dependency digraph holds exactly the loses_to pairs, in order
+    assert dependency_digraph(d).arcs == tuple(
+        (e1, e2) for e1 in edges for e2 in edges
+        if e1 != e2 and loses_to(d, e1, e2) is not None
+    )
 
 
 def test_propagate_roles_labels_every_reachable_edge():

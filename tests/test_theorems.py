@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph
-from seymour.errors import HypothesisFailedError
+from seymour.errors import ConsistencyError, HypothesisFailedError
 from seymour.forge import (
     InstanceSpec,
     all_kings_tournament,
@@ -33,7 +35,7 @@ from seymour.theorems import (
     two_stars_witness,
 )
 
-from oracles import brute_has_snp, brute_is_king, brute_snp_set
+from oracles import brute_has_snp, brute_is_king, brute_kings_reading, brute_snp_set
 
 
 def test_has_snp_examples():
@@ -103,6 +105,24 @@ def test_kings_stars_gate_names_the_reading_cap():
     )
     (_, centers, _) = gate_kings_stars(Analysis(fixture("C4X"))).checks
     assert centers.evidence == "no center assignment induces an all-kings tournament"
+
+
+def test_kings_reading_matches_the_induced_reference():
+    # at most 8 matching edges, so the gate tries every reading; two or more
+    # centers often fail to be kings among themselves, so None shows up too
+    rng = random.Random(7)
+    outcomes = set()
+    for seed in range(300):
+        matching = rng.randint(0, 8)
+        shapes = [1] * matching + [rng.randint(2, 3) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(shapes)
+        n = sum(s + 1 for s in shapes) + rng.randint(1, 4)
+        d = random_star_deleted(n, seed, shapes)
+        a = Analysis(d)
+        want = brute_kings_reading(d, a.dec)
+        assert gate_kings_stars(a).roles == want
+        outcomes.add(want is None)
+    assert outcomes == {False, True}
 
 
 def test_kings_stars_certifies_every_tournament_on_five_vertices():
@@ -249,6 +269,32 @@ def test_losing_cycle_vertices_all_have_snp():
         assert snp_set(g) == tuple(range(2 * k))
         for v in range(2 * k):
             assert g.degree(v) == g.second_degree(v) == k - 1
+
+
+@pytest.mark.parametrize("predicate", ["kings-stars", "two-stars", "three-stars"])
+def test_a_dominated_vertex_is_the_whole_feed(predicate):
+    # a new vertex that every other vertex beats changes no other vertex's
+    # reach, so Delta, the readings and the gate verdict stay; as a sink it
+    # ends every median order, so it is the feed, and it is whole
+    instances = filtered_search(predicate, 9, 0, budget=200, count=4).instances
+    assert len(instances) == 4
+    for d in instances:
+        n = d.n
+        padded = Digraph(n + 1, d.arcs + tuple((v, n) for v in range(n)))
+        cert = THEOREMS[predicate](padded)
+        assert cert.witnesses == (n,) and cert.trace[-1] == "case whole-feed"
+        assert brute_has_snp(padded, n)
+
+
+@pytest.mark.parametrize(
+    "predicate, claim",
+    [("two-stars-two", "_two_star_claim_holds"), ("three-stars-two", "_three_star_claim_holds")],
+)
+def test_claimed_roles_raise_when_no_reading_satisfies_the_claim(predicate, claim, monkeypatch):
+    (d,) = filtered_search(predicate, 9, 0, budget=200, count=1).instances
+    monkeypatch.setattr(f"seymour.theorems.{claim}", lambda *args: False)
+    with pytest.raises(ConsistencyError, match="positive dependency degrees must force"):
+        THEOREMS[predicate](d)
 
 
 @pytest.mark.parametrize("predicate", THEOREM_IDS[1:])
