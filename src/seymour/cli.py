@@ -413,7 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=SWEEP_FAMILIES)
     p.add_argument(
         "--max-n", type=int, default=12,
-        help=f"largest instance size for filtered sweeps (default 12, at least {forge.MIN_SEARCH_N})",
+        help=(
+            f"largest instance size for filtered sweeps (default 12, at least "
+            f"{forge.MIN_SEARCH_N}, or {forge.search_floor('three-stars')} for kings-stars, "
+            f"three-stars and three-stars-two)"
+        ),
     )
     p.set_defaults(handler=cmd_sweep)
 
@@ -437,10 +441,13 @@ def main(argv=None) -> int:
         )
     if args.jobs > MAX_JOBS:
         parser.error(f"--jobs {args.jobs} exceeds the ceiling {MAX_JOBS}")
-    if getattr(args, "max_n", forge.MIN_SEARCH_N) < forge.MIN_SEARCH_N:
-        parser.error(
-            f"--max-n {args.max_n} is below the filtered search's floor {forge.MIN_SEARCH_N}"
-        )
+    if hasattr(args, "max_n"):
+        floor = forge.search_floor(args.family)
+        if args.max_n < floor:
+            parser.error(
+                f"--max-n {args.max_n} is below the filtered search's floor {floor}"
+                f" for {args.family}"
+            )
     try:
         result = args.handler(args)
     except (ParseError, UsageError) as exc:

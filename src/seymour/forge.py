@@ -414,8 +414,19 @@ _PROPOSERS: dict[str, Callable[[int, random.Random], Digraph]] = {
 
 SEARCH_PREDICATES = tuple(_PROPOSERS)
 
-# filtered_search draws instance sizes from MIN_SEARCH_N..n
+# the least n filtered_search accepts, but for the three-star proposers;
+# see search_floor
 MIN_SEARCH_N = 4
+
+
+def search_floor(predicate: str) -> int:
+    """The least n filtered_search(predicate, n, ...) accepts.
+
+    MIN_SEARCH_N, or 6 for the predicates of `_propose_three_stars`, whose
+    core has three centers and at least one leaf per star, so no smaller
+    size could admit an instance.
+    """
+    return 6 if _PROPOSERS.get(predicate) is _propose_three_stars else MIN_SEARCH_N
 
 
 @dataclass(frozen=True)
@@ -436,12 +447,16 @@ def filtered_search(
 
     Structured proposals supply the candidates; every candidate is re-checked
     with the hypothesis gate before admission.  Deterministic in (predicate,
-    n, seed, budget, count).
+    n, seed, budget, count).  Raises ValueError when n is below
+    search_floor(predicate).
     """
     if predicate not in _PROPOSERS:
         raise ValueError(
             f"unknown predicate {predicate!r}; choose from {SEARCH_PREDICATES}"
         )
+    floor = search_floor(predicate)
+    if n < floor:
+        raise ValueError(f"n = {n} is below the floor {floor} of the search for {predicate}")
     if count is None:
         count = budget
     gate = theorems._GATES[predicate]
@@ -451,7 +466,8 @@ def filtered_search(
     seen: set[str] = set()
     attempts = 0
     for attempts in range(1, budget + 1):
-        size = rng.randint(max(MIN_SEARCH_N, min(6, n)), n)
+        # sizes from min(6, n) up: n >= floor, and no floor exceeds 6
+        size = rng.randint(min(6, n), n)
         try:
             cand = _relabel(propose(size, rng), rng)
         except (ValueError, ConsistencyError):

@@ -65,14 +65,21 @@ so no `Weighting` is built per component and a traced run still sees one
 
 From _LARGE_DP_N = 8 vertices up the kernel also skips every subset no
 median order passes through.  With h[v] = w(v) * w(N-(v)), any order with
-prefix S has forward weight at most A(S) + sum of h[v] over v outside S,
-where A(S) is the A field of S's best key; a subset whose bound is below
-the forward weight L of a known order is dropped.  L is the weight of a
-local median order (`_greedy_order`: a balance sort, then single-vertex
-reinsertion until no move gains), or, in `good_median_order`'s check, of
-the checked order restricted to the component.  That check runs no DP on
-a component that is one of its K(xi) blocks: it adds the optimum the
-block's own solve returned, so each block is solved once per call.
+prefix S has forward weight at most A(S) + h(R) - pen(R), where A(S) is
+the A field of S's best key, h(R) sums h[v] over R = V - S, and pen(R)
+sums the penalties of the packed triangles inside R.  The packing
+(`_triangle_packing`) is a fixed set of arc-disjoint directed triangles,
+and a triangle's penalty is its least arc weight: every order puts at
+least one arc of each triangle backward, and no two triangles share an
+arc, so the arcs inside R lose at least pen(R) (the cycle bound of the
+linear ordering problem; Marti and Reinelt 2011, "The Linear Ordering
+Problem").  A subset whose bound is below the forward weight L of a
+known order is dropped.  L is the weight of a local median order
+(`_greedy_order`: a balance sort, then single-vertex reinsertion until
+no move gains), or, in `good_median_order`'s check, of the checked order
+restricted to the component.  That check runs no DP on a component that
+is one of its K(xi) blocks: it adds the optimum the block's own solve
+returned, so each block is solved once per call.
 Every prefix of a key-optimal order has bound >= A_opt >= L, so the kept
 subsets still hold every maximal-key transition, and orders and ties are
 unchanged; see `_median_dp`.  Below the floor both the split and the
@@ -227,12 +234,18 @@ def _median_dp(
     each kept subset of size k to its supersets of size k + 1, and keeps
     only the subsets a median order can still pass through.  With
     h[v] = w(v) * w(N-(v)), an order with prefix S has forward weight at
-    most A(S) + sum of h[v] over v outside S, where A(S) is the A field of
-    S's best key; at the end of each level every S whose bound is below L
-    is dropped.  L is `lower` when given, which must be the forward weight
-    of some order, and otherwise the weight of the local median order
-    `_greedy_order`; the closer L is to the optimum, the fewer subsets
-    are kept.
+    most A(S) + sum of h[v] over v outside S - pen(R), where A(S) is the A
+    field of S's best key and pen(R) is the penalty sum of the triangles of
+    `_triangle_packing` inside R = V - S.  The sum of h over R is the
+    weight of every arc with its head in R, and an order puts at least one
+    arc of each such triangle backward, of weight at least its penalty; the
+    triangles share no arc, so the bound still holds.  The triangles still
+    inside R are kept as a bitmask beside each kept S, and their penalties
+    are folded into S's threshold when S is first reached.  At the end of
+    each level every S whose bound is below L is dropped.  L is `lower`
+    when given, which must be the forward weight of some order, and
+    otherwise the weight of the local median order `_greedy_order`; the
+    closer L is to the optimum, the fewer subsets are kept.
 
     Orders and ties are those of the whole table.  Every prefix S of a
     key-optimal order has bound >= A_opt >= L, so it is kept.  A
@@ -243,7 +256,8 @@ def _median_dp(
     does.  Any other subset may be dropped, or keyed too low when its best
     predecessor was dropped; neither raises a key, and no maximal-key
     transition into a prefix of a key-optimal order starts there.  With
-    all weights zero every bound is 0 = L and nothing is dropped.
+    all weights zero nothing is packed, every bound is 0 = L and nothing
+    is dropped.
     """
     n = len(in_masks)
     size = 1 << n
@@ -340,18 +354,28 @@ def _median_dp(
             h = [m.bit_count() << a_at for m in in_masks]
         else:
             h = [wv * wsum[m] << a_at for wv, m in zip(weights, in_masks)]
-        # the kept S are those with value[S] >= need[S] = (L - sum h + h(S)) << a_at,
-        # that is A(S) + h(outside S) >= L; -1 marks a subset not reached yet
+        # triangle i is alive in S while it has no vertex in S; tri_of[v] is
+        # the mask of the triangles through v
+        packing = _triangle_packing(in_masks, weights)
+        pen = [p // unit << a_at for _, p in packing]
+        tri_of = [0] * n
+        for i, (tri, _) in enumerate(packing):
+            for v in tri:
+                tri_of[v] |= 1 << i
+        # the kept S are those with value[S] >= need[S] =
+        # (L - sum h + h(S) + pen(alive in S)) << a_at, that is
+        # A(S) + h(outside S) - pen(alive in S) >= L; -1 marks a subset not
+        # reached yet.  Each level entry carries its alive mask.
         value = [-1] * size
         need = [0] * size
         value[0] = 0
-        need[0] = (lower << a_at) - sum(h)
+        need[0] = (lower << a_at) - sum(h) + sum(pen)
         full = size - 1
-        level = [0]
+        level = [(0, (1 << len(packing)) - 1)]
         for pos in range(1, n + 1):
             tie = pos << t_at
             reached = []
-            for s in level:
+            for s, alive in level:
                 base = value[s]
                 base_need = need[s]
                 m = full ^ s
@@ -370,13 +394,19 @@ def _median_dp(
                     old = value[t]
                     if cand > old:
                         if old < 0:
-                            reached.append(t)
-                            need[t] = base_need + h[v]
+                            t_need = base_need + h[v]
+                            killed = alive & tri_of[v]
+                            while killed:
+                                bit = killed & -killed
+                                killed ^= bit
+                                t_need -= pen[bit.bit_length() - 1]
+                            need[t] = t_need
+                            reached.append((t, alive & ~tri_of[v]))
                         value[t] = cand
                         parent[t] = v
                     elif cand == old and v > parent[t]:
                         parent[t] = v
-            level = [t for t in reached if value[t] >= need[t]]
+            level = [(t, alive) for t, alive in reached if value[t] >= need[t]]
         if not level:
             raise ConsistencyError(f"lower bound {lower} exceeds the optimum")
 
@@ -404,6 +434,45 @@ def _masks_forward_weight(
         total += weights[v] * sum(weights[u] for u in mask_to_set(placed & in_masks[v]))
         placed |= 1 << v
     return total
+
+
+def _triangle_packing(
+    in_masks: Sequence[int], weights: Sequence[int]
+) -> list[tuple[tuple[int, int, int], int]]:
+    """Arc-disjoint directed triangles of in_masks, each with its penalty.
+
+    First fit in vertex order: for each a and each unused arc a -> b, the
+    least c with unused arcs b -> c and c -> a closes a triangle, and its
+    three arcs are used.  Vertices of weight zero are left out, so every
+    penalty, the triangle's least arc weight w(u) * w(v), is positive.
+    Every order has a backward arc on each triangle, and no arc is shared,
+    so no order's forward weight exceeds the total arc weight minus the
+    penalties.  The in-masks are read once, into local copies.
+    """
+    n = len(in_masks)
+    positive = sum(1 << v for v in range(n) if weights[v] > 0)
+    inn = [m & positive if positive >> v & 1 else 0 for v, m in enumerate(in_masks)]
+    out = [0] * n
+    for v, m in enumerate(inn):
+        for u in mask_to_set(m):
+            out[u] |= 1 << v
+    packing = []
+    for a in range(n):
+        m = out[a]
+        while m:
+            low = m & -m
+            m ^= low
+            b = low.bit_length() - 1
+            closing = out[b] & inn[a]
+            if not closing:
+                continue
+            c = (closing & -closing).bit_length() - 1
+            for u, v in ((a, b), (b, c), (c, a)):
+                out[u] ^= 1 << v
+                inn[v] ^= 1 << u
+            wa, wb, wc = weights[a], weights[b], weights[c]
+            packing.append(((a, b, c), min(wa * wb, wb * wc, wc * wa)))
+    return packing
 
 
 def _greedy_order(in_masks: Sequence[int], weights: Sequence[int]) -> list[int]:

@@ -75,6 +75,23 @@ def test_max_n_at_the_search_floor_is_accepted(capsys):
     assert run(["sweep", "two-stars", "--max-n", "4"], capsys)[0] == 0
 
 
+# _propose_three_stars builds nothing below 6 vertices, so a smaller
+# --max-n would spend the whole budget and report no instance
+@pytest.mark.parametrize("family", ["kings-stars", "three-stars", "three-stars-two"])
+def test_three_star_families_have_a_floor_of_six(family, capsys):
+    for max_n in ("4", "5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", family, "--max-n", max_n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"floor 6 for {family}" in err
+    code, out = run(
+        ["sweep", family, "--max-n", "6", "--budget", "60", "--format", "machine"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["instances"] > 0
+
+
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a worker pool was built")

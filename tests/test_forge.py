@@ -116,6 +116,8 @@ def test_filtered_search_instances_pass_their_gate():
         assert 0 < res.acceptance_rate <= 1
         for d in res.instances:
             assert _GATES[predicate](Analysis(d)).applicable
+    with pytest.raises(ValueError, match="floor 6"):
+        filtered_search("three-stars", 5, 0, budget=120)
     again = filtered_search("two-stars", 9, 0, budget=120, count=8)
     assert [d.fingerprint() for d in again.instances] == [
         d.fingerprint() for d in filtered_search("two-stars", 9, 0, budget=120, count=8).instances

@@ -446,6 +446,41 @@ def test_bounded_dp_drops_nothing_with_zero_weights():
     assert transitions == n * 2 ** (n - 1)
 
 
+def test_bounded_dp_transitions_on_a_strong_tournament():
+    n = 14
+    d = random_tournament(n, 0)
+    assert len(orders._strong_components(d)) == 1
+    in_masks = [d.in_mask(v) for v in range(n)]
+    res, transitions = _bounded_dp(in_masks, [1] * n)
+    assert res == whole_table_median_dp(in_masks, [1] * n, 0)
+    # 16,920 with the bound A(S) + h(outside S) alone; a weaker bound keeps more
+    assert transitions == 1843
+
+
+@pytest.mark.parametrize("kind", ["unit", "uniform", "mixed", "zero"])
+def test_triangle_packing_is_arc_disjoint_directed_triangles(kind):
+    low, high = {"unit": (1, 1), "uniform": (3, 3), "mixed": (1, 6), "zero": (0, 3)}[kind]
+    for seed in range(24):
+        n = 5 + seed % 10
+        d = random_tournament(n, seed) if seed % 2 else random_digraph(n, seed, 0.7)
+        in_masks = [d.in_mask(v) for v in range(n)]
+        rng = random.Random(seed)
+        weights = [rng.randint(low, high) for _ in range(n)]
+        used = set()
+        for (a, b, c), penalty in orders._triangle_packing(in_masks, weights):
+            arcs = {(a, b), (b, c), (c, a)}
+            assert all(in_masks[v] >> u & 1 for u, v in arcs)
+            assert not arcs & used
+            used |= arcs
+            assert penalty == min(weights[u] * weights[v] for u, v in arcs) > 0
+        # maximal: no directed triangle of positive-weight vertices is left unused
+        free = {
+            (u, v) for v in range(n) for u in mask_to_set(in_masks[v])
+            if weights[u] and weights[v]
+        } - used
+        assert not any((b, c) in free and (c, a) in free for a, b in free for c in range(n))
+
+
 @pytest.mark.parametrize("n", [7, 8, 11])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_bounded_dp_keeps_only_the_path_of_a_transitive_tournament(n, weighted):
