@@ -333,12 +333,12 @@ def _sweep_predicate(args, report: Report) -> None:
 
 
 def cmd_sweep(args) -> Report:
-    report = Report(
-        "sweep", _config(args, family=args.family, max_n=args.max_n)
-    )
+    # exhaustive sweeps have fixed sizes and never read --max-n
     if args.family in EXHAUSTIVE_FAMILIES:
+        report = Report("sweep", _config(args, family=args.family))
         _sweep_exhaustive(args, report)
     else:
+        report = Report("sweep", _config(args, family=args.family, max_n=args.max_n))
         _sweep_predicate(args, report)
     return report
 
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             f"largest instance size for filtered sweeps (default 12, at least "
             f"{forge.MIN_SEARCH_N}, or {forge.search_floor('three-stars')} for kings-stars, "
-            f"three-stars and three-stars-two)"
+            f"three-stars and three-stars-two; exhaustive sweeps ignore it)"
         ),
     )
     p.set_defaults(handler=cmd_sweep)
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
         )
     if args.jobs > MAX_JOBS:
         parser.error(f"--jobs {args.jobs} exceeds the ceiling {MAX_JOBS}")
-    if hasattr(args, "max_n"):
+    if hasattr(args, "max_n") and args.family not in EXHAUSTIVE_FAMILIES:
         floor = forge.search_floor(args.family)
         if args.max_n < floor:
             parser.error(

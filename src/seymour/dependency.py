@@ -2,10 +2,14 @@
 
 Missing edge x1y1 loses to missing edge x2y2 when, for some labeling of the
 endpoints, x1 -> x2 with y2 outside N+(x1) and N++(x1), and y1 -> y2 with
-x2 outside N+(y1) and N++(y1).  losing_roles is the one test of this
-condition: loses_to, dependency_digraph and the role labeling of
-propagate_roles call it.  The dependency digraph has the missing edges as
-vertices and one arc per losing pair (digons allowed there).
+x2 outside N+(y1) and N++(y1).  _role_masks is the one statement of this
+condition: for e1 = (t, y) it gives the masks of the vertices that may play
+x2 and y2, and e1 loses to e2 = {r, s} exactly when one endpoint of e2 is
+in the first mask and the other in the second.  dependency_digraph tests
+every pair on those masks; losing_roles, and through it loses_to and the
+role labeling of propagate_roles, reads the same helper.  The dependency
+digraph has the missing edges as vertices and one arc per losing pair
+(digons allowed there).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .digraph import Digraph, VertexSet
+from .digraph import Digraph, VertexSet, set_to_mask
 from .errors import NotDisjointStarsError
 from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
 
@@ -29,6 +33,23 @@ class LosingWitness:
     y2: int
 
 
+def _reach(d: Digraph, v: int) -> int:
+    """R(v) = N+(v) | N++(v) as a mask."""
+    return d.out_mask(v) | d.second_mask(v)
+
+
+def _role_masks(d: Digraph, t: int, y: int, reach_t: int, reach_y: int) -> tuple[int, int]:
+    """Masks (xs, ys) of the candidates for x2 and y2 when x1 = t and y1 = y.
+
+    xs = N+(t) minus R(y) and ys = N+(y) minus R(t), given R(t) = reach_t
+    and R(y) = reach_y.  e1 = {t, y} loses to e2 = {r, s} with roles
+    (x2, y2) = (r, s) exactly when r is in xs and s in ys.  e2 = e1 fails
+    this by itself, because t is not in N+(t) (no loops) and neither is y
+    (ty is missing), so no caller needs to skip it.
+    """
+    return d.out_mask(t) & ~reach_y, d.out_mask(y) & ~reach_t
+
+
 def losing_roles(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] | None:
     """Roles (x2, y2) of e2 for which e1 loses to e2 with x1 = tail, or None.
 
@@ -40,15 +61,13 @@ def losing_roles(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] |
     """
     (y1,) = e1 - {tail}
     r, s = edge_pair(e2)
-    for x2, y2 in ((r, s), (s, r)):
-        # the arcs first: they are cheap and usually decide
-        if (
-            d.has_arc(tail, x2)
-            and d.has_arc(y1, y2)
-            and not (d.out_mask(tail) | d.second_mask(tail)) >> y2 & 1
-            and not (d.out_mask(y1) | d.second_mask(y1)) >> x2 & 1
-        ):
-            return x2, y2
+    for v in (tail, y1, r, s):
+        d._check(v)
+    xs, ys = _role_masks(d, tail, y1, _reach(d, tail), _reach(d, y1))
+    if xs >> r & ys >> s & 1:
+        return r, s
+    if xs >> s & ys >> r & 1:
+        return s, r
     return None
 
 
@@ -58,9 +77,6 @@ def loses_to(d: Digraph, e1, e2) -> LosingWitness | None:
     By the symmetry of losing_roles, the other tail adds no assignment.
     """
     e1 = frozenset(e1)
-    e2 = frozenset(e2)
-    if e1 == e2:
-        return None
     x1, y1 = edge_pair(e1)
     roles = losing_roles(d, e1, e2, x1)
     return None if roles is None else LosingWitness(x1, y1, *roles)
@@ -109,17 +125,22 @@ class DependencyDigraph:
 
 
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
-    edges = tuple(edge(u, v) for u, v in d.missing_pairs())
+    pairs = d.missing_pairs()
+    edges = tuple(edge(u, v) for u, v in pairs)
+    reach = {v: _reach(d, v) for v in set().union(*pairs)}
     arcs = []
     succ: dict[Edge, list[Edge]] = {e: [] for e in edges}
     pred: dict[Edge, list[Edge]] = {e: [] for e in edges}
-    for e1 in edges:
-        for e2 in edges:
-            if e1 == e2:
-                continue
-            if losing_roles(d, e1, e2, min(e1)) is not None:
+    for e1, (t, y) in zip(edges, pairs):
+        xs, ys = _role_masks(d, t, y, reach[t], reach[y])
+        if not (xs and ys):
+            continue
+        out = succ[e1]
+        # e2 = e1 fails the bit test by itself (see _role_masks)
+        for e2, (r, s) in zip(edges, pairs):
+            if (xs >> r & ys >> s | xs >> s & ys >> r) & 1:
                 arcs.append((e1, e2))
-                succ[e1].append(e2)
+                out.append(e2)
                 pred[e2].append(e1)
     return DependencyDigraph(
         edges,
@@ -256,10 +277,11 @@ def component_index(d: Digraph) -> ComponentIndex:
     k_sets = tuple(
         tuple(sorted({v for e in comp for v in e})) for comp in components
     )
+    k_masks = [set_to_mask(k) for k in k_sets]
     # interval graph: components adjacent when K-sets intersect
     m = len(components)
     overlaps = [
-        (i, j) for i in range(m) for j in range(i + 1, m) if set(k_sets[i]) & set(k_sets[j])
+        (i, j) for i in range(m) for j in range(i + 1, m) if k_masks[i] & k_masks[j]
     ]
     xi_groups = tuple(sorted(tuple(g) for g in _groups(range(m), overlaps)))
     k_of_xi = tuple(

@@ -164,11 +164,14 @@ class Digraph:
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
         """Nonadjacent pairs (u, v) with u < v."""
         result = []
+        full = (1 << self.n) - 1
         for u in range(self.n):
-            adj = self._out[u] | self._in[u]
-            for v in range(u + 1, self.n):
-                if not adj >> v & 1:
-                    result.append((u, v))
+            # the non-neighbours above u, lowest first
+            m = full & ~(self._out[u] | self._in[u] | ((2 << u) - 1))
+            while m:
+                low = m & -m
+                result.append((u, low.bit_length() - 1))
+                m ^= low
         return tuple(result)
 
     def is_interval(self, vertices: Iterable[int]) -> bool:

@@ -126,12 +126,15 @@ def is_convenient(d: Digraph, a: int, b: int) -> bool:
     The orientation (a, b) of a missing edge is convenient when for every
     vertex v outside {a, b}: v -> a implies b in N+(v) or N++(v).
     """
-    for v in range(d.n):
-        if v in (a, b):
-            continue
-        if d.has_arc(v, a):
-            if not (d.has_arc(v, b) or d.second_mask(v) >> b & 1):
-                return False
+    d._check(a)
+    d._check(b)
+    m = d.in_mask(a) & ~(1 << b)
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        if not (d.out_mask(v) | d.second_mask(v)) >> b & 1:
+            return False
+        m ^= low
     return True
 
 

@@ -17,6 +17,59 @@ def brute_second_out(d: Digraph, v: int) -> tuple[int, ...]:
     return tuple(sorted(second - first - {v}))
 
 
+def _out_sets(d: Digraph) -> list[set[int]]:
+    out = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        out[u].add(v)
+    return out
+
+
+def brute_missing_pairs(d: Digraph) -> tuple[tuple[int, int], ...]:
+    """Pairs (u, v), u < v, with neither arc, in (u, v) order."""
+    arcs = set(d.arcs)
+    return tuple(
+        (u, v)
+        for u in range(d.n)
+        for v in range(u + 1, d.n)
+        if (u, v) not in arcs and (v, u) not in arcs
+    )
+
+
+def brute_losing(d: Digraph):
+    """The losing test of d from its definition, on Python sets.
+
+    Returns loses(x1, y1, x2, y2): x1 -> x2 with y2 outside N+(x1) and
+    N++(x1), and y1 -> y2 with x2 outside N+(y1) and N++(y1).
+    """
+    out = _out_sets(d)
+    reach = [
+        (out[v] | {z for a in out[v] for z in out[a]}) - {v} for v in range(d.n)
+    ]
+
+    def loses(x1, y1, x2, y2):
+        return (
+            x2 in out[x1] and y2 not in reach[x1]
+            and y2 in out[y1] and x2 not in reach[y1]
+        )
+
+    return loses
+
+
+def brute_dependency_arcs(d: Digraph) -> tuple[tuple[frozenset, frozenset], ...]:
+    """Arcs (e1, e2) of the dependency digraph: e1 loses to e2 under some
+    labeling of the endpoints of both, with the missing edges taken in
+    (u, v) order and the arcs in that order of e1, then e2."""
+    loses = brute_losing(d)
+    pairs = brute_missing_pairs(d)
+    return tuple(
+        (frozenset(p), frozenset(q))
+        for p in pairs
+        for q in pairs
+        if p != q
+        and any(loses(*p1, *q1) for p1 in (p, p[::-1]) for q1 in (q, q[::-1]))
+    )
+
+
 def brute_forward_weight(d: Digraph, order, w: Weighting | None = None) -> Fraction:
     ws = resolve_weights(d, w)
     pos = {v: i for i, v in enumerate(order)}

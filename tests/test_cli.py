@@ -75,6 +75,29 @@ def test_max_n_at_the_search_floor_is_accepted(capsys):
     assert run(["sweep", "two-stars", "--max-n", "4"], capsys)[0] == 0
 
 
+# exhaustive sweeps have fixed sizes: the floor does not apply to them, and
+# their report does not record a --max-n they ignore
+@pytest.mark.parametrize("family", ["tournaments-n4", "digraphs-n4"])
+def test_exhaustive_sweep_ignores_max_n_below_the_floor(family, capsys):
+    code, out = run(["sweep", family, "--max-n", "3", "--format", "machine"], capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+def test_exhaustive_sweep_does_not_record_max_n(capsys):
+    code, out = run(
+        ["sweep", "tournaments-n4", "--max-n", "99", "--format", "machine"], capsys
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert "max_n" not in config and config["evaluated"] == 64
+    code, out = run(
+        ["sweep", "two-stars", "--max-n", "6", "--budget", "20", "--format", "machine"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["config"]["max_n"] == 6
+
+
 # _propose_three_stars builds nothing below 6 vertices, so a smaller
 # --max-n would spend the whole budget and report no instance
 @pytest.mark.parametrize("family", ["kings-stars", "three-stars", "three-stars-two"])

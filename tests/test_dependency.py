@@ -16,7 +16,7 @@ from seymour.digraph import Digraph
 from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
 from seymour.stars import convenient_orientations, edge, edge_pair
 
-from oracles import brute_second_out
+from oracles import brute_dependency_arcs, brute_losing
 
 
 def test_loses_to_c4x_examples():
@@ -32,22 +32,13 @@ def test_loses_to_lc3_negative_example():
     assert loses_to(lc3, edge(0, 1), edge(4, 5)) is None
 
 
-def _brute_loses(d, x1, y1, x2, y2):
-    def reach(v):
-        return set(d.neighbors(v)) | set(brute_second_out(d, v))
-
-    return (
-        d.has_arc(x1, x2) and y2 not in reach(x1)
-        and d.has_arc(y1, y2) and x2 not in reach(y1)
-    )
-
-
 @given(st.integers(0, 400), st.integers(3, 8))
 @settings(max_examples=100, deadline=None)
 def test_losing_roles_pair_the_endpoints_once(seed, n):
     # e1 loses to e2 for at most one pairing of their endpoints, so both
     # tails of e1 give the same answer, with the roles reversed
     d = random_digraph(n, seed)
+    brute_loses = brute_losing(d)
     edges = [edge(u, v) for u, v in d.missing_pairs()]
     for e1 in edges:
         p, q = edge_pair(e1)
@@ -59,7 +50,7 @@ def test_losing_roles_pair_the_endpoints_once(seed, n):
                 (x1, y1, x2, y2)
                 for x1, y1 in ((p, q), (q, p))
                 for x2, y2 in ((r, s), (s, r))
-                if _brute_loses(d, x1, y1, x2, y2)
+                if brute_loses(x1, y1, x2, y2)
             ]
             roles = losing_roles(d, e1, e2, p)
             if roles is None:
@@ -75,6 +66,31 @@ def test_losing_roles_pair_the_endpoints_once(seed, n):
         (e1, e2) for e1 in edges for e2 in edges
         if e1 != e2 and loses_to(d, e1, e2) is not None
     )
+
+
+@given(st.integers(0, 400), st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_dependency_digraph_matches_the_definition(seed, n):
+    d = random_digraph(n, seed)
+    assert dependency_digraph(d).arcs == brute_dependency_arcs(d)
+
+
+# the shapes of the analysis-scan benchmark: 0-2 stars of 2-4 leaves and up
+# to 12 matching edges on 16-40 vertices.  At these sizes a tournament's
+# second neighborhoods cover nearly everything, so Delta is almost always
+# arcless: these inputs check that no false arc appears, while the small
+# random digraphs above carry the losing pairs.
+@given(
+    st.integers(0, 1 << 30),
+    st.integers(16, 40),
+    st.lists(st.integers(2, 4), max_size=2),
+    st.integers(0, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_dependency_digraph_matches_the_definition_on_star_deleted(seed, n, stars, matching):
+    room = n - sum(k + 1 for k in stars)
+    d = random_star_deleted(n, seed, stars + [1] * min(matching, room // 2))
+    assert dependency_digraph(d).arcs == brute_dependency_arcs(d)
 
 
 def test_propagate_roles_labels_every_reachable_edge():

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from seymour.digraph import Digraph, Weighting
 from seymour.errors import DigonError, LoopArcError, VertexRangeError
-from seymour.forge import fixture, random_digraph
+from seymour.forge import fixture, random_digraph, random_tournament
 
-from oracles import brute_second_out
+from oracles import brute_missing_pairs, brute_second_out
 
 
 def test_construction_rejects_loops():
@@ -121,3 +121,17 @@ def test_weighting_basics():
 def test_fingerprint_is_stable_and_injective_enough():
     assert fixture("C3").fingerprint() != fixture("TT3").fingerprint()
     assert fixture("C3").fingerprint() == fixture("C3").fingerprint()
+
+
+@given(
+    st.sampled_from(["digraph", "tournament", "empty"]),
+    st.integers(0, 12),
+    st.integers(0, 300),
+)
+def test_missing_pairs_match_the_definition(kind, n, seed):
+    d = {
+        "digraph": lambda: random_digraph(n, seed),
+        "tournament": lambda: random_tournament(n, seed),
+        "empty": lambda: Digraph(n),
+    }[kind]()
+    assert d.missing_pairs() == brute_missing_pairs(d)

@@ -3,7 +3,13 @@ from hypothesis import given, strategies as st
 
 from seymour.digraph import Digraph
 from seymour.errors import NotDisjointStarsError
-from seymour.forge import fixture, random_star_deleted, random_tournament, delete_disjoint_stars
+from seymour.forge import (
+    delete_disjoint_stars,
+    fixture,
+    random_digraph,
+    random_star_deleted,
+    random_tournament,
+)
 from seymour.stars import (
     Star,
     canonical_stars,
@@ -11,6 +17,7 @@ from seymour.stars import (
     convenient_orientations,
     decompose,
     edge,
+    is_convenient,
     orient_toward_centers,
 )
 
@@ -86,6 +93,16 @@ def test_convenient_matches_brute_force(seed, n):
             o for o in ((u, v), (v, u)) if brute_convenient(d, *o)
         )
         assert fast == slow
+
+
+# every ordered pair, adjacent ones and pairs with b -> a included
+@given(st.integers(0, 300), st.integers(2, 9))
+def test_is_convenient_matches_brute_force_on_every_pair(seed, n):
+    d = random_digraph(n, seed)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                assert is_convenient(d, a, b) == brute_convenient(d, a, b)
 
 
 @given(st.integers(0, 300), st.integers(4, 10))
