@@ -165,9 +165,12 @@ def random_star_deleted(
 ) -> Digraph:
     """Random tournament minus random disjoint stars.
 
-    shapes gives the leaf count of each star; when omitted, between one and
-    three stars with random sizes are carved out of the vertex set.
+    shapes gives the leaf count of each star, each at least 1; when omitted,
+    between one and three stars with random sizes are carved out of the
+    vertex set.
     """
+    if shapes is not None and any(leaves < 1 for leaves in shapes):
+        raise ValueError(f"every star needs at least one leaf, got shapes {list(shapes)}")
     rng = random.Random(f"star-deleted|{n}|{seed}|{shapes}")
     t = random_tournament(n, rng.randrange(1 << 30))
     verts = list(range(n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .digraph import Digraph, Weighting
+from .digraph import Digraph, Weighting, resolve_weights
 from .errors import ParseError
 
 
@@ -83,9 +83,16 @@ def parse_instance(text: str) -> tuple[Digraph, Weighting | None]:
 
 
 def emit_instance(d: Digraph, w: Weighting | None = None) -> str:
-    """Canonical text for an instance; parse(emit(d, w)) == (d, w)."""
+    """Canonical text for an instance; parse(emit(d, w)) == (d, w).
+
+    Raises ValueError when w does not cover exactly d's vertices or holds a
+    zero weight, which the format cannot express.
+    """
     lines = [f"{d.n} {len(d.arcs)}"]
     lines.extend(f"{u} {v}" for u, v in d.arcs)
     if w is not None:
+        resolve_weights(d, w)
+        if 0 in w.values:
+            raise ValueError(f"weights must be positive, got {w!r}")
         lines.extend(f"w {v} {w.values[v]}" for v in range(d.n))
     return "\n".join(lines) + "\n"

@@ -52,8 +52,11 @@ The optimum splits over strong components: in a topological order of the
 condensation every arc between components is forward, so the optimal
 value is the weight of those arcs plus each component's own optimum.
 `good_median_order` needs only that value for its check, and computes it
-this way for any digraph.  `exact_median_order` also splits the order, but
-only on tournaments with positive weights, where every median order runs
+this way for any digraph.  The exact solve `_median_solve`, on in-masks,
+integer weights and a tie mask, is the one solver behind both
+`exact_median_order` and `good_median_order` (its quotient and each K(xi)
+block).  It also splits the order, but only on tournaments with positive
+weights of at least _LARGE_DP_N vertices, where every median order runs
 the components in condensation order (Havet and Thomassé 2000, "Median
 orders of tournaments"), so the split returns the whole DP's order and
 ties.  With zero weights an order against the condensation can lose
@@ -63,8 +66,11 @@ whole DP.  The split runs the DP kernel `_median_dp` once per component,
 so no `Weighting` is built per component and a traced run still sees one
 `exact_median_order` span per call.
 
-From _LARGE_DP_N = 8 vertices up the kernel also skips every subset no
-median order passes through.  With h[v] = w(v) * w(N-(v)), any order with
+The kernel has one whole-table loop: below _LARGE_DP_N = 8 vertices, a
+call with equal positive weights and no tiebreak counts forward arcs, and
+every subset pulls that count from all of its predecessors.  Every other
+call, at any size, pushes level by level and skips every subset no median
+order passes through.  With h[v] = w(v) * w(N-(v)), any order with
 prefix S has forward weight at most A(S) + h(R) - pen(R), where A(S) is
 the A field of S's best key, h(R) sums h[v] over R = V - S, and pen(R)
 sums the penalties of the packed triangles inside R.  The packing
@@ -82,8 +88,8 @@ is one of its K(xi) blocks: it adds the optimum the block's own solve
 returned, so each block is solved once per call.
 Every prefix of a key-optimal order has bound >= A_opt >= L, so the kept
 subsets still hold every maximal-key transition, and orders and ties are
-unchanged; see `_median_dp`.  Below the floor both the split and the
-bound cost more than they save.
+unchanged; see `_median_dp`.  The floor selects only the unit-weight pull
+loop and the split: below it both cost more than they save.
 """
 
 from __future__ import annotations
@@ -109,15 +115,18 @@ LinearOrder = tuple[int, ...]
 DEFAULT_EXACT_CAP = 15
 # hard ceiling on any cap: the DP keeps several lists of 2**n entries
 MAX_EXACT_CAP = 20
-# From this many vertices up, exact_median_order splits tournaments into
-# strong components and _median_dp drops the subsets its weight bound rules
-# out.  Below it both cost more than they save: with the split at every n,
-# calls on the sinkless tournaments on 2-6 vertices took about 25% longer,
-# and on random tournaments the split breaks even near n = 8.  The bounded
-# push kernel took 1.3-3.3x the whole-table time on the sinkless
-# tournaments on 3-5 vertices and 1.06x on the 26,624 on 6 vertices with
-# unit weights (0.75-0.87x with a tiebreak or weights).  On random
-# 7-vertex tournaments it took 0.55-0.76x, a gain given up for one floor.
+# Below this many vertices a _median_dp call with equal positive weights and
+# no tiebreak pulls the forward-arc count from the whole table, and the
+# exact solve does not split tournaments into strong components; every
+# other call pushes with the weight bound at any size.  On the arc count
+# both the push and the split cost more than they save below it: with the
+# split at every n, calls on the sinkless tournaments on 2-6 vertices took
+# about 25% longer, and on random tournaments the split breaks even near
+# n = 8.  The bounded push kernel took 1.3-3.3x the whole-table time on the
+# sinkless tournaments on 3-5 vertices and 1.06x on the 26,624 on 6
+# vertices with unit weights (0.75-0.87x with a tiebreak or weights).  On
+# random 7-vertex tournaments it took 0.55-0.76x, a gain given up for one
+# floor.
 _LARGE_DP_N = 8
 
 
@@ -140,7 +149,8 @@ def forward_weight(d: Digraph, order: Sequence[int], w: Weighting | None = None)
     """Total weight of forward arcs; arc (u, v) weighs w(u) * w(v)."""
     order = _check_order(d, order)
     weights, scale = _int_weights(d, w)
-    return Fraction(_eps_triple(d, order, weights)[0], scale * scale)
+    in_masks = [d.in_mask(v) for v in range(d.n)]
+    return Fraction(_masks_forward_weight(in_masks, weights, order), scale * scale)
 
 
 def _check_exact_cap(n: int, cap: int) -> None:
@@ -176,46 +186,60 @@ def exact_median_order(
     is deterministic.  With equal positive weights w the tuple is
     (w*w*C, T, 2*w*C, C) for the forward-arc count C and tie score T, which
     orders exactly like (C, T); the key then packs C and T only, or is C
-    alone without a tiebreak.  From _LARGE_DP_N vertices up the DP keys
-    only the subsets its weight bound keeps; see `_median_dp`.
-
-    A tournament with positive weights on at least _LARGE_DP_N vertices is
-    solved per strong component, and the component orders are concatenated
-    in condensation order; value and tie_score are read off the result.
-    This returns the whole-digraph DP's order, ties included: every
-    key-optimal order runs the components in condensation order (an
-    adjacent pair against it swaps to a gain of w(u)w(v) > 0 in A), and
-    there the keys of the vertices of one component differ from that
-    component's own keys by one constant.  Zero weights keep the whole DP,
-    as a zero gain in A lets T rank an order against the condensation.
+    alone without a tiebreak.  The solve is `_median_solve`; see there for
+    the split over strong components and `_median_dp` for the kernel.
 
     Raises ExactBoundExceededError when n exceeds min(cap, MAX_EXACT_CAP),
     before anything of size 2**n is allocated.
     """
-    n = d.n
-    _check_exact_cap(n, cap)
+    _check_exact_cap(d.n, cap)
     weights, scale = _int_weights(d, w)
     tie_mask = 0
     for v in tiebreak or ():
         d._check(v)
         tie_mask |= 1 << v
-    if n == 0:
-        return MedianResult((), Fraction(0), None)
-    split = n >= _LARGE_DP_N and min(weights) > 0 and d.is_tournament()
-    comps = _strong_components(d) if split else ()
-    if len(comps) > 1:
-        order = []
-        for comp in comps:
-            local_tie = sum(1 << i for i, v in enumerate(comp) if tie_mask >> v & 1)
-            local, _, _ = _median_dp(
-                _local_in_masks(d, comp), [weights[v] for v in comp], local_tie
-            )
-            order.extend(comp[i] for i in local)
-        value = _eps_triple(d, order, weights)[0]
-        tie = sum(i for i, v in enumerate(order, 1) if tie_mask >> v & 1)
-    else:
-        order, value, tie = _median_dp([d.in_mask(v) for v in range(n)], weights, tie_mask)
+    order, value, tie = _median_solve([d.in_mask(v) for v in range(d.n)], weights, tie_mask)
     return MedianResult(tuple(order), Fraction(value, scale * scale), tie if tie_mask else None)
+
+
+def _median_solve(
+    in_masks: Sequence[int], weights: Sequence[int], tie_mask: int
+) -> tuple[list[int], int, int]:
+    """Median order of the vertices 0..n-1 of in_masks, n >= 0.
+
+    Returns the order, its forward weight A in integer weight units and its
+    tie score T (0 without a tiebreak), as `_median_dp` does.
+
+    A tournament with positive weights on at least _LARGE_DP_N vertices is
+    solved per strong component, and the component orders are concatenated
+    in condensation order; A and T are read off the result.  This returns
+    the whole-digraph DP's order, ties included: every key-optimal order
+    runs the components in condensation order (an adjacent pair against it
+    swaps to a gain of w(u)w(v) > 0 in A), and there the keys of the
+    vertices of one component differ from that component's own keys by one
+    constant.  Zero weights keep the whole DP, as a zero gain in A lets T
+    rank an order against the condensation.
+    """
+    n = len(in_masks)
+    if n == 0:
+        return [], 0, 0
+    comps = ()
+    # the in-masks are digon-free, so n(n-1)/2 arcs make a tournament
+    if n >= _LARGE_DP_N and min(weights) > 0 and (
+        sum(m.bit_count() for m in in_masks) * 2 == n * (n - 1)
+    ):
+        comps = _strong_components(in_masks)
+    if len(comps) <= 1:
+        return _median_dp(in_masks, weights, tie_mask)
+    order = []
+    for comp in comps:
+        local_tie = sum(1 << i for i, v in enumerate(comp) if tie_mask >> v & 1)
+        local, _, _ = _median_dp(
+            _local_in_masks(in_masks, comp), [weights[v] for v in comp], local_tie
+        )
+        order.extend(comp[i] for i in local)
+    tie = sum(i for i, v in enumerate(order, 1) if tie_mask >> v & 1)
+    return order, _masks_forward_weight(in_masks, weights, order), tie
 
 
 def _median_dp(
@@ -224,20 +248,22 @@ def _median_dp(
     tie_mask: int,
     lower: int | None = None,
 ) -> tuple[list[int], int, int]:
-    """The subset DP of exact_median_order on n >= 1 vertices.
+    """The subset DP of the exact solve on n >= 1 vertices.
 
     Returns the order, its forward weight A in integer weight units and its
     tie score T (0 without a tiebreak).
 
-    Below _LARGE_DP_N vertices every subset pulls its key from all of its
-    predecessors.  From _LARGE_DP_N up the DP pushes level by level, from
-    each kept subset of size k to its supersets of size k + 1, and keeps
-    only the subsets a median order can still pass through.  With
-    h[v] = w(v) * w(N-(v)), an order with prefix S has forward weight at
-    most A(S) + sum of h[v] over v outside S - pen(R), where A(S) is the A
-    field of S's best key and pen(R) is the penalty sum of the triangles of
-    `_triangle_packing` inside R = V - S.  The sum of h over R is the
-    weight of every arc with its head in R, and an order puts at least one
+    Below _LARGE_DP_N vertices a call with equal positive weights and no
+    tiebreak keys each subset by its forward-arc count, pulled from all of
+    its predecessors; that is the one whole-table loop.  Every other call,
+    at any n, pushes level by level, from each kept subset of size k to its
+    supersets of size k + 1, and keeps only the subsets a median order can
+    still pass through.  With h[v] = w(v) * w(N-(v)), an order with prefix
+    S has forward weight at most A(S) + sum of h[v] over v outside S -
+    pen(R), where A(S) is the A field of S's best key and pen(R) is the
+    penalty sum of the triangles of `_triangle_packing` inside R = V - S.
+    The sum of h over R is the weight of every arc with its head in R, and
+    an order puts at least one
     arc of each such triangle backward, of weight at least its penalty; the
     triangles share no arc, so the bound still holds.  The triangles still
     inside R are kept as a bitmask beside each kept S, and their penalties
@@ -247,13 +273,13 @@ def _median_dp(
     otherwise the weight of the local median order `_greedy_order`; the
     closer L is to the optimum, the fewer subsets are kept.
 
-    Orders and ties are those of the whole table.  Every prefix S of a
-    key-optimal order has bound >= A_opt >= L, so it is kept.  A
-    transition of maximal key into such an S comes from a prefix S - v of
-    a key-optimal order too (the best order of S - v, then v, then the
-    rest), so S's key is exact, and pushing with `cand > value[t]`, or
-    equal with a larger v, picks the largest such v as the whole table
-    does.  Any other subset may be dropped, or keyed too low when its best
+    Orders and ties are those of the whole table at every n, as nothing
+    below depends on n.  Every prefix S of a key-optimal order has
+    bound >= A_opt >= L, so it is kept.  A transition of maximal key into
+    such an S comes from a prefix S - v of a key-optimal order too (the
+    best order of S - v, then v, then the rest), so S's key is exact, and
+    pushing with `cand > value[t]`, or equal with a larger v, picks the
+    largest such v as the whole table does.  Any other subset may be dropped, or keyed too low when its best
     predecessor was dropped; neither raises a key, and no maximal-key
     transition into a prefix of a key-optimal order starts there.  With
     all weights zero nothing is packed, every bound is 0 = L and nothing
@@ -287,64 +313,23 @@ def _median_dp(
             low = s & -s
             wsum[s] = wsum[s ^ low] + weights[low.bit_length() - 1]
 
-    if n < _LARGE_DP_N:
+    if uniform and not tie_mask and n < _LARGE_DP_N:
+        # the key is the forward arc count C
         value = [0] * size
-        if uniform and not tie_mask:
-            # unit-like weights: value reduces to the forward arc count
-            for s in range(1, size):
-                best = -1
-                best_v = -1
-                m = s
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    cand = value[s ^ low] + (((s ^ low) & in_masks[v]).bit_count())
-                    if cand >= best:
-                        best = cand
-                        best_v = v
-                value[s] = best
-                parent[s] = best_v
-        elif uniform:
-            # key C << tshift | T
-            for s in range(1, size):
-                pos = s.bit_count()
-                best = -1
-                best_v = -1
-                m = s
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    prev = s ^ low
-                    cand = value[prev] + ((prev & in_masks[v]).bit_count() << tshift)
-                    if tie_mask & low:
-                        cand += pos
-                    if cand >= best:
-                        best = cand
-                        best_v = v
-                value[s] = best
-                parent[s] = best_v
-        else:
-            for s in range(1, size):
-                tie = s.bit_count() << t_at
-                best = -1
-                best_v = -1
-                m = s
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    prev = s ^ low
-                    inter = prev & in_masks[v]
-                    cand = value[prev] + wsum[inter] * per_sw[v] + inter.bit_count() * per_cnt[v]
-                    if tie_mask & low:
-                        cand += tie
-                    if cand >= best:
-                        best = cand
-                        best_v = v
-                value[s] = best
-                parent[s] = best_v
+        for s in range(1, size):
+            best = -1
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                cand = value[s ^ low] + (((s ^ low) & in_masks[v]).bit_count())
+                if cand >= best:
+                    best = cand
+                    best_v = v
+            value[s] = best
+            parent[s] = best_v
     else:
         if lower is None:
             lower = _masks_forward_weight(in_masks, weights, _greedy_order(in_masks, weights))
@@ -522,16 +507,20 @@ def _greedy_order(in_masks: Sequence[int], weights: Sequence[int]) -> list[int]:
     return order
 
 
-def _strong_components(d: Digraph) -> list[VertexSet]:
-    """Strong components of d in a topological order of its condensation.
+def _strong_components(in_masks: Sequence[int]) -> list[VertexSet]:
+    """Strong components of the digraph of in_masks, in a topological order
+    of its condensation.
 
     Warshall's closure on bitmasks gives every vertex's reach, and the
     component of v is the part of its reach that reaches v.  A component
     that reaches another reaches strictly more vertices, so decreasing reach
     (then least vertex) is a topological order.
     """
-    n = d.n
-    reach = [d.out_mask(v) | 1 << v for v in range(n)]
+    n = len(in_masks)
+    reach = [1 << v for v in range(n)]
+    for v, m in enumerate(in_masks):
+        for u in mask_to_set(m):
+            reach[u] |= 1 << v
     for k in range(n):
         bit, via = 1 << k, reach[k]
         for v in range(n):
@@ -548,20 +537,20 @@ def _strong_components(d: Digraph) -> list[VertexSet]:
     return [comp for _, comp in comps]
 
 
-def _local_in_masks(d: Digraph, comp: VertexSet) -> list[int]:
+def _local_in_masks(in_masks: Sequence[int], comp: Sequence[int]) -> list[int]:
     """In-masks of the subdigraph induced on comp, over local indices 0..len-1."""
     return [
-        sum(1 << i for i, u in enumerate(comp) if d.in_mask(v) >> u & 1) for v in comp
+        sum(1 << i for i, u in enumerate(comp) if in_masks[v] >> u & 1) for v in comp
     ]
 
 
 def _median_value(
-    d: Digraph,
+    in_masks: Sequence[int],
     weights: Sequence[int],
     order: Sequence[int],
     solved: dict[VertexSet, int] | None = None,
 ) -> int:
-    """Optimal forward weight of d, in integer weight units.
+    """Optimal forward weight of the digraph of in_masks, in integer weight units.
 
     In a topological order of the condensation every arc between strong
     components is forward, so the optimum is the weight of those arcs plus
@@ -570,25 +559,25 @@ def _median_value(
     A component whose sorted vertex tuple is a key of solved adds the
     optimum stored there, which must be the value the DP returned for the
     subdigraph induced on it.  Any other component runs the DP, seeded
-    with a lower bound from order, any order of d: the forward weight of
-    its restriction to that component.
+    with a lower bound from order, any order of the digraph: the forward
+    weight of its restriction to that component.
     """
     total = 0
-    for comp in _strong_components(d):
+    for comp in _strong_components(in_masks):
         members = set_to_mask(comp)
         for v in comp:
-            outside = d.in_mask(v) & ~members
+            outside = in_masks[v] & ~members
             total += weights[v] * sum(weights[u] for u in mask_to_set(outside))
         if solved and comp in solved:
             total += solved[comp]
         elif len(comp) > 1:
-            in_masks = _local_in_masks(d, comp)
+            local_masks = _local_in_masks(in_masks, comp)
             local_w = [weights[v] for v in comp]
             index = {v: i for i, v in enumerate(comp)}
             lower = _masks_forward_weight(
-                in_masks, local_w, [index[v] for v in order if v in index]
+                local_masks, local_w, [index[v] for v in order if v in index]
             )
-            total += _median_dp(in_masks, local_w, 0, lower)[1]
+            total += _median_dp(local_masks, local_w, 0, lower)[1]
     return total
 
 
@@ -823,7 +812,8 @@ def good_median_order(
     """Median order of the good digraph a.d with every K(xi) contiguous.
 
     The quotient (one block per K(xi), singleton blocks for the remaining
-    vertices) is ordered optimally and each block internally optimally; when
+    vertices) is ordered optimally and each block internally optimally, both
+    by `_median_solve` on in-masks and integer weights; when
     a.d has at most cap vertices, the result's forward weight is checked
     against the unconstrained optimum, whose value is solved per strong
     component.  A component that is a block adds the optimum its block's
@@ -846,24 +836,19 @@ def good_median_order(
             blocks.append((v,))
     blocks.sort(key=lambda b: b[0])
 
-    # quotient digraph over blocks (cross pairs are uniform for good digraphs)
-    reps = [b[0] for b in blocks]
-    q_arcs = []
-    for i, p in enumerate(reps):
-        for j, q in enumerate(reps):
-            if i != j and d.has_arc(p, q):
-                q_arcs.append((i, j))
-    if len(q_arcs) != len(blocks) * (len(blocks) - 1) // 2:
+    # the quotient over blocks, read at each block's least vertex (cross
+    # pairs are uniform for good digraphs); a block weighs its vertices' sum
+    in_masks = [d.in_mask(v) for v in range(d.n)]
+    q_masks = _local_in_masks(in_masks, [b[0] for b in blocks])
+    if sum(m.bit_count() for m in q_masks) != len(blocks) * (len(blocks) - 1) // 2:
         raise ConsistencyError("quotient of a good digraph should be a tournament")
-    quotient = Digraph(len(blocks), q_arcs)
-    # integer block sums: a common positive factor leaves the optimum unchanged
-    q_weights = Weighting([sum(weights[v] for v in b) for b in blocks])
-
-    if len(blocks) > cap:
+    limit = min(cap, MAX_EXACT_CAP)
+    if len(blocks) > limit:
         raise ExactBoundExceededError(
-            f"quotient has {len(blocks)} blocks, exact cap is {cap}"
+            f"quotient has {len(blocks)} blocks, exact cap is {limit}"
         )
-    block_order = exact_median_order(quotient, q_weights, cap=cap).order
+    q_weights = [sum(weights[v] for v in b) for b in blocks]
+    block_order = _median_solve(q_masks, q_weights, 0)[0]
 
     result: list[int] = []
     # each block's optimum, by its sorted vertex tuple, so that the check
@@ -874,21 +859,21 @@ def good_median_order(
         if len(members) == 1:
             result.append(members[0])
             continue
-        sub, mapping = d.induced(members)
-        sub_w = None if w is None else Weighting([weights[v] for v in mapping])
-        if sub.n > cap:
+        if len(members) > limit:
             raise ExactBoundExceededError(
-                f"block of size {sub.n} exceeds exact cap {cap}"
+                f"block of size {len(members)} exceeds exact cap {limit}"
             )
-        inner = exact_median_order(sub, sub_w, cap=cap)
-        # integer block weights: the value is in the units of weights
-        solved[mapping] = inner.value.numerator
-        result.extend(mapping[i] for i in inner.order)
+        local, solved[members], _ = _median_solve(
+            _local_in_masks(in_masks, members), [weights[v] for v in members], 0
+        )
+        result.extend(members[i] for i in local)
 
     order = tuple(result)
     if d.n <= cap:
         _check_exact_cap(d.n, cap)
-        if _eps_triple(d, order, weights)[0] != _median_value(d, weights, order, solved):
+        if _masks_forward_weight(in_masks, weights, order) != _median_value(
+            in_masks, weights, order, solved
+        ):
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

@@ -613,7 +613,6 @@ def _two_witnesses(
     a: Analysis,
     gate: GateResult,
     trace: list[str],
-    findings: list[str],
     kv_candidates: Sequence[int] | None,
     inner: CandidateFn,
     cap: int,
@@ -630,7 +629,7 @@ def _two_witnesses(
         found = _verified(d, kv_candidates)
         if len(found) < 2:
             raise ConsistencyError(f"{theorem_id}: K = V branch found fewer than 2 witnesses")
-        return _certify(d, gate, found, trace, findings)
+        return _certify(d, gate, found, trace)
     if not a.goodness.is_good:
         bad = [k for k, ok in a.goodness.verdicts if not ok]
         raise GoodnessViolationError(f"{theorem_id}: D should be good, K(xi) {bad}")
@@ -643,9 +642,9 @@ def _two_witnesses(
         found = _verified(d, inner(jset, xn), limit=2)
         if len(found) < 2:
             raise ConsistencyError(f"{theorem_id}: interval branch found fewer than 2 witnesses")
-        return _certify(d, gate, found, trace, findings)
+        return _certify(d, gate, found, trace)
     second, extra = _second_witness(d, order, xn, inner)
-    return _certify(d, gate, [xn, second], trace + extra, findings)
+    return _certify(d, gate, [xn, second], trace + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +875,7 @@ def two_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCert
     inner = _interval_candidates(
         d, (x, y), (x,), lambda sub: [exact_median_order(sub, cap=cap).order[-1]]
     )
-    return _two_witnesses(a, gate, trace, [], kv_candidates, inner, cap)
+    return _two_witnesses(a, gate, trace, kv_candidates, inner, cap)
 
 
 def _three_star_shape_check(dd: DependencyDigraph, stars: tuple[Star, Star, Star]):
@@ -924,6 +923,17 @@ def _three_star_qualifying_center(x, a_set, y, b_set, z, c_set) -> int:
 
 
 def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
+    """Two SNP vertices of a sinkless digraph missing three stars.
+
+    When the stars cover V(D), H = D - centers is a tournament with no
+    sink.  Suppose a leaf h in A were a sink of H.  Then N+(h) = {z}, as
+    y -> A, A -> z and hx is missing.  Since x -> y -> z, z is in R(x), so
+    the missing edge {h, x} loses to no edge: its out-degree in Delta is 0,
+    which the gate's delta+_Delta > 0 rules out.  A leaf in B (N+ = {x},
+    with x in R(y) via y -> z -> x) and a leaf in C (N+ = {y}, with y in
+    R(z) via z -> x -> y) go the same way, so a sink of H is an internal
+    fault.
+    """
     a, gate = _require(gate_three_stars_two, d)
     x, a_set, y, b_set, z, c_set = _claimed_roles(
         d, _three_star_readings(d, a.dec), _three_star_claim_holds,
@@ -933,21 +943,20 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
     trace = [
         f"roles x={x} A={list(a_set)} y={y} B={list(b_set)} z={z} C={list(c_set)}"
     ]
-    findings: list[str] = []
     kv_candidates = None
     if len({x, y, z, *a_set, *b_set, *c_set}) == d.n:
         trace.append("K = V(D): sub-tournament pair + qualifying center")
         rest = [v for v in range(d.n) if v not in (x, y, z)]
         sub, mapping = d.induced(rest)
         if sub.has_sink():
-            findings.append("H = D - centers has a sink, contrary to the expected shape")
+            raise ConsistencyError("three-stars-two: H = D - centers has a sink")
         ws, _ = _tournament_witnesses(sub, cap)
         center = _three_star_qualifying_center(x, a_set, y, b_set, z, c_set)
         kv_candidates = (*[mapping[w] for w in ws], center)
     inner = _interval_candidates(
         d, (x, y, z), (), lambda sub: _tournament_witnesses(sub, cap)[0]
     )
-    return _two_witnesses(a, gate, trace, findings, kv_candidates, inner, cap)
+    return _two_witnesses(a, gate, trace, kv_candidates, inner, cap)
 
 
 THEOREMS: dict[str, Callable[..., SnpCertificate]] = {

@@ -47,6 +47,19 @@ def test_median_reports_feedback(capsys):
     assert rec["detail"]["feedback"] is True
 
 
+def test_median_above_the_exact_cap_takes_the_local_path(capsys):
+    code, out = run(
+        ["median", "random-tournament n=9 seed=3", "--cap-exact", "8", "--format", "machine"],
+        capsys,
+    )
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["detail"]["mode"] == "local"
+    assert rec["detail"]["value"] is None
+    assert rec["detail"]["feedback"] is True
+    assert sorted(rec["detail"]["order"]) == list(range(9))
+
+
 def test_cap_exact_at_the_ceiling_is_accepted(capsys):
     code, out = run(["median", "TT3", "--cap-exact", "20", "--format", "machine"], capsys)
     assert code == 0
@@ -195,6 +208,15 @@ def test_internal_value_error_exits_one(monkeypatch, capsys):
 def test_unrealizable_spec_exits_two(capsys):
     assert main(["gen", "all-kings", "n=4"]) == 2
     assert "seymour:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "delta"])
+@pytest.mark.parametrize("shapes", ["-1", "0"])
+def test_star_without_leaves_is_a_usage_error(command, shapes, capsys):
+    spec = f"star-deleted n=5 seed=1 shapes={shapes}"
+    argv = [command, *spec.split()] if command == "gen" else [command, spec]
+    assert main(argv) == 2
+    assert "at least one leaf" in capsys.readouterr().err
 
 
 def test_verify_reports_ignored_weights(tmp_path, capsys):

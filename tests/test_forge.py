@@ -52,6 +52,12 @@ def test_random_generator_shapes():
     assert random_digraph(5, 1, 0.0).arc_count == 0
 
 
+@pytest.mark.parametrize("shapes", [[-1], [0], [2, 0]])
+def test_random_star_deleted_rejects_a_star_without_leaves(shapes):
+    with pytest.raises(ValueError, match="at least one leaf"):
+        random_star_deleted(5, 1, shapes)
+
+
 def test_all_kings_tournament_examples():
     assert all_kings_tournament(3) == fixture("C3")
     assert all_kings(all_kings_tournament(7))

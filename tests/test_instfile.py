@@ -60,3 +60,12 @@ def test_round_trip(seed, n, weighted):
     text = emit_instance(d, w)
     assert parse_instance(text) == (d, w)
     assert emit_instance(*parse_instance(text)) == text
+
+
+@pytest.mark.parametrize(
+    "values, hint",
+    [([0, 1, 2], "must be positive"), ([1, 2], "covers 2 vertices"), ([1, 2, 3, 4], "covers 4")],
+)
+def test_emit_rejects_a_weighting_the_format_cannot_hold(values, hint):
+    with pytest.raises(ValueError, match=hint):
+        emit_instance(fixture("C3"), Weighting(values))

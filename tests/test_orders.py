@@ -95,8 +95,8 @@ def test_unit_weight_calls_build_no_weighting(monkeypatch):
         assert count(lambda: local_median_order(d, start)) == 0
         if not a.goodness.is_good:
             continue
-        # the quotient's block weights are the one Weighting built
-        assert count(lambda: good_median_order(a)) == 1
+        # the quotient and the blocks are solved on integer weights
+        assert count(lambda: good_median_order(a)) == 0
         order = good_median_order(a)
         assert count(lambda: sed(a, order)) == 0
         assert count(lambda: sediment(a, order)) == 0
@@ -117,6 +117,12 @@ def test_tie_score_is_none_without_a_non_empty_tiebreak():
     assert exact_median_order(Digraph(1), tiebreak=[0]).tie_score == 1
     with pytest.raises(VertexRangeError):
         exact_median_order(Digraph(0), tiebreak=[0])
+
+
+def test_median_orders_of_the_empty_digraph():
+    d = Digraph(0)
+    assert exact_median_order(d) == MedianResult((), Fraction(0), None)
+    assert good_median_order(Analysis(d)) == ()
 
 
 def test_exact_median_respects_cap():
@@ -349,7 +355,8 @@ def test_value_split_matches_the_whole_dp(dw, data):
     weights, scale = orders._int_weights(d, w)
     # any order seeds a valid lower bound
     seed_order = data.draw(st.permutations(range(d.n)))
-    value = Fraction(orders._median_value(d, weights, seed_order), scale * scale)
+    in_masks = [d.in_mask(v) for v in range(d.n)]
+    value = Fraction(orders._median_value(in_masks, weights, seed_order), scale * scale)
     assert value == exact_median_order(d, w).value
 
 
@@ -388,7 +395,7 @@ def dp_instance(draw):
     seed = draw(st.integers(0, 10**6))
     if draw(st.booleans()):
         d = random_tournament(n, seed)
-        while len(orders._strong_components(d)) > 1:
+        while len(orders._strong_components([d.in_mask(v) for v in range(n)])) > 1:
             seed += 1
             d = random_tournament(n, seed)
     else:
@@ -449,8 +456,8 @@ def test_bounded_dp_drops_nothing_with_zero_weights():
 def test_bounded_dp_transitions_on_a_strong_tournament():
     n = 14
     d = random_tournament(n, 0)
-    assert len(orders._strong_components(d)) == 1
     in_masks = [d.in_mask(v) for v in range(n)]
+    assert len(orders._strong_components(in_masks)) == 1
     res, transitions = _bounded_dp(in_masks, [1] * n)
     assert res == whole_table_median_dp(in_masks, [1] * n, 0)
     # 16,920 with the bound A(S) + h(outside S) alone; a weaker bound keeps more
@@ -492,23 +499,34 @@ def test_bounded_dp_keeps_only_the_path_of_a_transitive_tournament(n, weighted):
     weights = [rng.randint(1, 5) for _ in range(n)] if weighted else [1] * n
     greedy = orders._greedy_order(in_masks, weights)
     (order, value, _), transitions = _bounded_dp(in_masks, weights)
-    # the greedy order is optimal here, so below the floor the whole table
-    # runs, and from it up only the prefixes of the one median order survive
+    # the greedy order is optimal here, so below the floor the unit-weight
+    # call runs the whole table, and every other call keeps only the
+    # prefixes of the one median order
     assert greedy == order == label
     assert orders._masks_forward_weight(in_masks, weights, greedy) == value
-    if n < orders._LARGE_DP_N:
+    if n < orders._LARGE_DP_N and not weighted:
         assert transitions == n * 2 ** (n - 1)
     else:
         assert transitions == n * (n + 1) // 2
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_bounded_dp_matches_the_whole_table_around_the_floor(n):
+    # below the floor only unit weights without a tiebreak pull from the
+    # whole table; tiebroken, weighted and zero-weight calls push
     for seed in range(6):
-        in_masks = [random_tournament(n, seed).in_mask(v) for v in range(n)]
         rng = random.Random(seed)
-        for weights in ([1] * n, [rng.randint(0, 4) for _ in range(n)]):
-            for tie_mask in (0, 1 << rng.randrange(n)):
+        d = random_tournament(n, seed) if seed % 2 else random_digraph(n, seed, 0.7)
+        in_masks = [d.in_mask(v) for v in range(n)]
+        for weights in (
+            [1] * n,
+            [3] * n,
+            [rng.randint(1, 4) for _ in range(n)],
+            [rng.randint(0, 4) for _ in range(n)],
+            [0] * n,
+        ):
+            ties = rng.sample(range(n), min(n, 3))
+            for tie_mask in (0, 1 << ties[0], set_to_mask(ties)):
                 expected = whole_table_median_dp(in_masks, weights, tie_mask)
                 assert orders._median_dp(in_masks, weights, tie_mask) == expected
 
@@ -525,7 +543,8 @@ def _strong_block_instance():
     arcs += [(9, v) for v in range(9)]
     a = Analysis(Digraph(10, arcs))
     (block,) = a.ci.k_of_xi
-    assert len(block) == 8 and block in orders._strong_components(a.d)
+    in_masks = [a.d.in_mask(v) for v in range(a.d.n)]
+    assert len(block) == 8 and block in orders._strong_components(in_masks)
     return a, block
 
 
@@ -533,7 +552,8 @@ def _strong_block_instance():
 def test_good_median_order_solves_each_block_once(monkeypatch, w):
     a, block = _strong_block_instance()
     weights = orders._int_weights(a.d, w)[0]
-    block_key = (tuple(orders._local_in_masks(a.d, block)), tuple(weights[v] for v in block))
+    in_masks = [a.d.in_mask(v) for v in range(a.d.n)]
+    block_key = (tuple(orders._local_in_masks(in_masks, block)), tuple(weights[v] for v in block))
     calls = Counter()
     kernel = orders._median_dp
 
@@ -554,13 +574,14 @@ def test_good_median_order_check_fires_on_a_worse_block_order(monkeypatch):
     best = exact_median_order(sub)
     worse = best.order[::-1]
     assert forward_weight(sub, worse) < best.value
-    exact = orders.exact_median_order
+    block_masks = [sub.in_mask(v) for v in range(sub.n)]
+    solve = orders._median_solve
 
-    def worse_block(d, *args, **kwargs):
-        res = exact(d, *args, **kwargs)
+    def worse_block(in_masks, weights, tie_mask):
+        order, value, tie = solve(in_masks, weights, tie_mask)
         # the block's order loses weight, but its value is still the optimum
-        return MedianResult(worse, res.value, res.tie_score) if d == sub else res
+        return (list(worse), value, tie) if list(in_masks) == block_masks else (order, value, tie)
 
-    monkeypatch.setattr(orders, "exact_median_order", worse_block)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(orders, "_median_solve", worse_block)
+    with pytest.raises(ConsistencyError, match="contiguous-block optimum"):
         good_median_order(a)

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
-from seymour.digraph import Digraph
+from seymour.digraph import Digraph, Weighting
 from seymour.errors import ConsistencyError, HypothesisFailedError
 from seymour.forge import (
     InstanceSpec,
@@ -14,16 +15,22 @@ from seymour.forge import (
     filtered_search,
     fixture,
     losing_cycle_gadget,
+    random_digraph,
     random_star_deleted,
     random_tournament,
 )
+from seymour.stars import edge
 from seymour.theorems import (
     THEOREM_IDS,
     THEOREMS,
     _build_f_arcs,
+    _claimed_roles,
+    _three_star_claim_holds,
+    _three_star_readings,
     all_kings,
     check_hypotheses,
     gate_kings_stars,
+    gate_three_stars_two,
     has_snp,
     havet_thomasse_witnesses,
     is_king,
@@ -65,6 +72,16 @@ def test_snp_and_king_match_brute_force(seed, n):
     assert snp_set(t) == brute_snp_set(t)
     for v in range(n):
         assert is_king(t, v) == brute_is_king(t, v)
+
+
+@given(st.integers(0, 400), st.integers(1, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_weighted_snp_matches_brute_force(seed, n, data):
+    d = random_digraph(n, seed, 0.7)
+    w = Weighting([Fraction(data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3)))
+                   for _ in range(n)])
+    assert snp_set(d, w) == brute_snp_set(d, w)
+    assert [has_snp(d, v, w) for v in range(n)] == [brute_has_snp(d, v, w) for v in range(n)]
 
 
 def test_havet_thomasse_examples():
@@ -308,3 +325,28 @@ def test_witness_procedures_on_filtered_instances(predicate):
             assert brute_has_snp(d, v)
         if predicate.endswith("-two") or predicate == "matching-F-empty-no-sink":
             assert len(set(cert.witnesses)) >= 2
+
+
+@pytest.mark.parametrize("star", [0, 1, 2])
+def test_a_sink_leaf_of_h_fails_the_three_stars_two_gate(star):
+    # K = V instances: make the first leaf of one star a sink of
+    # H = D - centers by reversing its arcs to the other leaves; its missing
+    # edge to its center then loses to no edge, so the gate must fail
+    instances = filtered_search("three-stars-two", 10, 1, budget=400, count=12).instances
+    checked = 0
+    for d in instances:
+        a = Analysis(d)
+        roles = _claimed_roles(d, _three_star_readings(d, a.dec), _three_star_claim_holds, "")
+        centers = roles[0::2]
+        if len({*centers, *roles[1], *roles[3], *roles[5]}) != d.n:
+            continue
+        center, h = centers[star], roles[2 * star + 1][0]
+        leaves = set(range(d.n)) - set(centers)
+        arcs = [(v, u) if u == h and v in leaves else (u, v) for u, v in d.arcs]
+        sunk = Analysis(Digraph(d.n, arcs))
+        assert sunk.d.induced(leaves)[0].has_sink()
+        gate = gate_three_stars_two(sunk)
+        assert "delta+_Delta > 0" in [c.clause for c in gate.failing()]
+        assert sunk.dd.out_degree(edge(h, center)) == 0
+        checked += 1
+    assert checked >= 3
