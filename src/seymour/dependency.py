@@ -231,12 +231,6 @@ class ComponentIndex:
     xi_groups: tuple[tuple[int, ...], ...]
     k_of_xi: tuple[VertexSet, ...]
 
-    def xi_of_vertex(self, v: int) -> int | None:
-        for i, k in enumerate(self.k_of_xi):
-            if v in k:
-                return i
-        return None
-
     def component_is_path(self, ci: int) -> bool:
         """True when weak component ci is a directed path (isolated edge included)."""
         comp = self.components[ci]
@@ -290,12 +284,15 @@ def component_index(d: Digraph) -> ComponentIndex:
     return ComponentIndex(dd, components, k_sets, xi_groups, k_of_xi)
 
 
-def j_of(d: Digraph, v: int, ci: ComponentIndex) -> VertexSet:
-    """J(v): {v} for whole vertices, else the K(xi) of ci containing v."""
-    if d.is_whole(v):
+def j_of(a: Analysis, v: int) -> VertexSet:
+    """J(v): {v} for a whole vertex, else the K(xi) of a.ci containing v.
+
+    A whole vertex reads no component index, so a tournament builds none.
+    """
+    if a.d.is_whole(v):
         return (v,)
     # a missing edge at v is a vertex of Delta, so some K(xi) holds v
-    return ci.k_of_xi[ci.xi_of_vertex(v)]
+    return next(k for k in a.ci.k_of_xi if v in k)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ Good median orders and sedimentation are facts about one instance, so
 they take its `Analysis` and read J(feed), goodness and the K(xi) blocks
 from its component index: `good_median_order(Analysis(d))`,
 `sediment(Analysis(d), order)`, `sed(a, order)`.  In the library only
-`Analysis` builds a component index.
+`Analysis` builds a component index, and J of a whole feed reads none.
 
 The exact solver additionally optimizes an epsilon-augmented weight
 (w + eps, compared lexicographically) so its output satisfies the feedback
@@ -725,7 +725,7 @@ def _sed_step(a: Analysis, order: LinearOrder, weights: Sequence[int]) -> Linear
     The step compares w(N+(feed) \\ J) with w(good \\ J) for J = J(feed).
     """
     ana = analyze(a.d, order)
-    jset = set(j_of(a.d, ana.feed, a.ci))
+    jset = set(j_of(a, ana.feed))
     out_side = sum(weights[v] for v in ana.out_of_feed if v not in jset)
     good_side = sum(weights[v] for v in ana.good if v not in jset)
     balance = out_side - good_side
@@ -748,10 +748,10 @@ def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> Linear
     With feed f and J = J(f): if w(N+(f) \\ J) < w(G_L \\ J) the order is
     returned unchanged (stable step); on equality the bad vertices outside J
     move to the front, J follows, and the rest keep their relative order.
+    The step is the last order of sediment under a budget of one step, so
+    one loop runs every sedimentation step.
     """
-    order = _check_order(a.d, order)
-    nxt = _sed_step(a, order, _int_weights(a.d, w)[0])
-    return order if nxt is None else nxt
+    return sediment(a, order, w, budget=1).final
 
 
 @dataclass(frozen=True)
@@ -813,11 +813,12 @@ def good_median_order(
 
     The quotient (one block per K(xi), singleton blocks for the remaining
     vertices) is ordered optimally and each block internally optimally, both
-    by `_median_solve` on in-masks and integer weights; when
-    a.d has at most cap vertices, the result's forward weight is checked
-    against the unconstrained optimum, whose value is solved per strong
-    component.  A component that is a block adds the optimum its block's
-    solve returned, so a block order that misses it still fails the check.
+    by `_median_solve` on in-masks and integer weights; when a.d has at
+    most min(cap, MAX_EXACT_CAP) vertices, the result's forward weight is
+    checked against the unconstrained optimum, whose value is solved per
+    strong component.  A component that is a block adds the optimum its
+    block's solve returned, so a block order that misses it still fails the
+    check.
     """
     d = a.d
     weights = _int_weights(d, w)[0]
@@ -869,8 +870,7 @@ def good_median_order(
         result.extend(members[i] for i in local)
 
     order = tuple(result)
-    if d.n <= cap:
-        _check_exact_cap(d.n, cap)
+    if d.n <= limit:
         if _masks_forward_weight(in_masks, weights, order) != _median_value(
             in_masks, weights, order, solved
         ):

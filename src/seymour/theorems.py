@@ -410,12 +410,18 @@ def check_hypotheses(d: Digraph) -> tuple[GateResult, ...]:
 def _require(
     gate_fn: Callable[[Analysis], GateResult], d: Digraph
 ) -> tuple[Analysis, GateResult]:
-    """The analysis of d and its passing gate result; raise when the gate fails."""
+    """The analysis of d and its passing gate result; raise when the gate fails.
+
+    Every procedure takes its witness from a nonempty order, so a digraph
+    without vertices is refused here, also when its gate passes.
+    """
     a = Analysis(d)
     gate = gate_fn(a)
     if not gate.applicable:
         first = gate.failing()[0]
         raise HypothesisFailedError(gate.theorem_id, first.clause, first.evidence)
+    if d.n == 0:
+        raise HypothesisFailedError(gate.theorem_id, "digraph has a vertex", "n = 0")
     return a, gate
 
 
@@ -503,22 +509,22 @@ def _default_candidates(jset: VertexSet, feed: int) -> list[int]:
 
 
 def _second_witness(
-    d: Digraph,
-    order: Sequence[int],
-    first: int,
-    candidates: CandidateFn = _default_candidates,
+    d: Digraph, order: Sequence[int], candidates: CandidateFn = _default_candidates
 ) -> tuple[int, list[str]]:
     """Second SNP vertex from sedimenting the prefix of a good median order.
 
-    order is a good median order of d whose feed (the first witness) is a
-    whole vertex.  The prefix is sedimented inside d minus the feed; the
-    stable branch uses the settled order, the periodic branch an order in
-    the cycle where some out-neighbor of the feed is bad.  candidates maps
-    (J(feed'), feed') of the chosen order to an ordered list of contenders;
-    the first oracle-verified one distinct from `first` wins.
+    order is a good median order of d whose feed order[-1], the first
+    witness, is a whole vertex.  The prefix is sedimented inside d minus
+    the feed; the stable branch uses the settled order, the periodic branch
+    an order in the cycle where some out-neighbor of the feed is bad.
+    candidates maps (J(feed'), feed') of the chosen order, J read from the
+    prefix's own Analysis, to an ordered list of contenders; the first
+    oracle-verified one distinct from the feed wins.  A tournament prefix
+    has only whole vertices, so it builds no component index.
     """
     trace: list[str] = []
-    prefix = tuple(v for v in order if v != first)
+    first = order[-1]
+    prefix = order[:-1]
     sub, mapping = d.induced(prefix)
     inv = {v: i for i, v in enumerate(mapping)}
     sub_order = tuple(inv[v] for v in prefix)
@@ -530,7 +536,7 @@ def _second_witness(
         trace.append(f"prefix stable after {outcome.rank} step(s)")
     elif outcome.kind == "periodic":
         cycle = run.orders[outcome.cycle_start :]
-        outs = [u for u in d.neighbors(first) if u in inv]
+        outs = d.neighbors(first)
         for q, cand in enumerate(cycle):
             bad = set(analyze(sub, cand).bad)
             hit = [u for u in outs if inv[u] in bad]
@@ -550,7 +556,7 @@ def _second_witness(
         raise ConsistencyError(f"sedimentation exhausted its budget on {sub.n} vertices")
     feed_sub = chosen[-1]
     feed_orig = mapping[feed_sub]
-    jset = tuple(mapping[i] for i in j_of(sub, feed_sub, a.ci))
+    jset = tuple(mapping[i] for i in j_of(a, feed_sub))
     for w in candidates(jset, feed_orig):
         if w != first and has_snp(d, w):
             trace.append(f"second witness {w} from J {list(jset)}")
@@ -566,8 +572,8 @@ def _tournament_witnesses(t: Digraph, cap: int) -> tuple[list[int], list[str]]:
     feed = res.order[-1]
     trace = [f"median order {list(res.order)}"]
     if t.has_sink():
-        return [feed], trace
-    second, extra = _second_witness(t, res.order, feed)
+        return [feed], trace + ["tournament has a sink: single witness"]
+    second, extra = _second_witness(t, res.order)
     return [feed, second], trace + extra
 
 
@@ -616,13 +622,17 @@ def _two_witnesses(
     kv_candidates: Sequence[int] | None,
     inner: CandidateFn,
     cap: int,
+    interval_note: str = "",
 ) -> SnpCertificate:
-    """The common end of the two-witness star procedures.
+    """The common end of the matching, two-stars and three-stars two-witness
+    procedures.
 
     When the stars cover V(D) (kv_candidates given), the verified candidates
     are the witnesses.  Otherwise D must be good; the feed of a good median
     order is the first witness, and the second comes from the feed's
     interval when J(feed) is a K(xi), else from sedimenting the prefix.
+    inner orders the contenders of both branches; interval_note ends the
+    interval branch's trace line.
     """
     d, theorem_id = a.d, gate.theorem_id
     if kv_candidates is not None:
@@ -636,14 +646,14 @@ def _two_witnesses(
     order = good_median_order(a, cap=cap)
     xn = order[-1]
     trace.append(f"good median order {list(order)}")
-    jset = j_of(d, xn, a.ci)
+    jset = j_of(a, xn)
     if len(jset) > 1:
-        trace.append(f"feed interval K {list(jset)}")
+        trace.append(f"feed interval K {list(jset)}{interval_note}")
         found = _verified(d, inner(jset, xn), limit=2)
         if len(found) < 2:
             raise ConsistencyError(f"{theorem_id}: interval branch found fewer than 2 witnesses")
         return _certify(d, gate, found, trace)
-    second, extra = _second_witness(d, order, xn, inner)
+    second, extra = _second_witness(d, order, inner)
     return _certify(d, gate, [xn, second], trace + extra)
 
 
@@ -655,8 +665,6 @@ def havet_thomasse_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCer
     """Feed of an exact median order; a second vertex when there is no sink."""
     _, gate = _require(gate_havet_thomasse, d)
     witnesses, trace = _tournament_witnesses(d, cap)
-    if d.has_sink():
-        trace.append("tournament has a sink: single witness")
     return _certify(d, gate, witnesses, trace)
 
 
@@ -804,7 +812,7 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
     if d_prime.is_whole(f):
         case = "whole-feed"
     else:
-        jset = j_of(d_prime, f, a_prime.ci)
+        jset = j_of(a_prime, f)
         star = dec.stars[0] if dec.stars else None
         if star is not None and star.center in jset:
             case = "star-interval"
@@ -819,20 +827,10 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
 def matching_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Two SNP vertices of a sinkless digraph missing a matching with F empty."""
     a, gate = _require(gate_matching_f_empty, d)
-    order = good_median_order(a, cap=cap)
-    xn = order[-1]
-    trace = [f"good median order {list(order)}"]
-    jset = j_of(d, xn, a.ci)
-    if len(jset) > 1:
-        trace.append(f"feed interval K {list(jset)}: every member qualifies")
-        found = _verified(d, (xn, *jset), limit=2)
-        if len(found) < 2:
-            raise ConsistencyError(
-                f"interval {list(jset)} yields fewer than two oracle-verified vertices"
-            )
-        return _certify(d, gate, found, trace)
-    second, extra = _second_witness(d, order, xn)
-    return _certify(d, gate, [xn, second], trace + extra)
+    return _two_witnesses(
+        a, gate, [], None, _default_candidates, cap,
+        interval_note=": every member qualifies",
+    )
 
 
 def two_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:

@@ -157,7 +157,7 @@ def test_ac5_sedimentation_preserves_optimum():
         order = good_median_order(a, w)
         ana = analyze(d, order)
         ws = resolve_weights(d, w)
-        jset = set(j_of(d, ana.feed, a.ci))
+        jset = set(j_of(a, ana.feed))
         lhs = ws.total(set(d.neighbors(ana.feed, "out")) - jset)
         rhs = ws.total(set(ana.good) - jset)
         if lhs != rhs:

@@ -6,7 +6,14 @@ from seymour import dependency, theorems
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph
 from seymour.errors import HypothesisFailedError
-from seymour.forge import SEARCH_PREDICATES, all_digraphs, filtered_search, fixture
+from seymour.forge import (
+    SEARCH_PREDICATES,
+    all_digraphs,
+    all_kings_tournament,
+    all_tournaments,
+    filtered_search,
+    fixture,
+)
 from seymour.theorems import THEOREM_IDS, THEOREMS, _GATES, check_hypotheses
 
 
@@ -54,6 +61,23 @@ def test_each_procedure_builds_a_component_index_once_per_digraph(monkeypatch):
             if any(count > 1 for count in builds.values()):
                 rebuilt.add(tid)
     assert not rebuilt, sorted(rebuilt)
+
+
+def test_a_tournaments_second_witness_builds_no_component_index(monkeypatch):
+    # J of a whole vertex is the vertex itself, so no K(xi) is needed
+    builds = Counter()
+    original = dependency.component_index
+
+    def counted(d):
+        builds["component_index"] += 1
+        return original(d)
+
+    monkeypatch.setattr(dependency, "component_index", counted)
+    sinkless = [t for t in all_tournaments(5) if not t.has_sink()][:50]
+    sinkless.append(all_kings_tournament(7))
+    for t in sinkless:
+        assert len(theorems.havet_thomasse_witnesses(t).witnesses) == 2
+    assert builds["component_index"] == 0
 
 
 def test_gates_on_a_fresh_analysis_match_check_hypotheses():

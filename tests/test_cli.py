@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -175,6 +176,15 @@ def test_verify_gate_exits_zero(capsys):
     assert code == 0
     (rec,) = json.loads(out)["records"]
     assert rec["status"] == "hypothesis-failed"
+
+
+def test_verify_refuses_the_empty_digraph(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out = run(["verify", "havet-thomasse", "-", "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "hypothesis-failed"
+    assert rec["detail"]["clause"] == "digraph has a vertex"
 
 
 @pytest.mark.parametrize("name", ["C3", "TT3"])

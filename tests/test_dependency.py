@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import (
+    Analysis,
     component_index,
     dependency_digraph,
     good_edges,
@@ -165,12 +166,12 @@ def test_two_disjoint_blocks_give_two_xi():
 
 def test_j_of_examples():
     c3, c4x = fixture("C3"), fixture("C4X")
-    assert j_of(c3, 0, component_index(c3)) == (0,)
-    assert j_of(c4x, 0, component_index(c4x)) == (0, 1, 2, 3)
+    assert j_of(Analysis(c3), 0) == (0,)
+    assert j_of(Analysis(c4x), 0) == (0, 1, 2, 3)
     # LC3 plus a whole vertex dominating everything
     lc3 = fixture("LC3")
     d = Digraph(7, list(lc3.arcs) + [(6, v) for v in range(6)])
-    assert j_of(d, 6, component_index(d)) == (6,)
+    assert j_of(Analysis(d), 6) == (6,)
 
 
 def test_is_good_digraph_examples():

@@ -18,6 +18,7 @@ from seymour import orders
 from seymour.forge import (
     all_kings_tournament,
     fixture,
+    losing_cycle_gadget,
     random_digraph,
     random_star_deleted,
     random_tournament,
@@ -189,6 +190,18 @@ def test_good_median_order_examples():
     assert forward_weight(t, good_median_order(Analysis(t))) == exact_median_order(t).value
 
 
+def test_good_median_order_above_the_ceiling_ignores_the_cap():
+    # 16 vertices beating losing_cycle_gadget(3): 22 vertices in 17 blocks,
+    # so the quotient fits every cap here and only the check sees n = 22
+    gadget, t = losing_cycle_gadget(3), random_tournament(16, 5)
+    arcs = list(gadget.arcs) + [(6 + u, 6 + v) for u, v in t.arcs]
+    arcs += [(6 + u, v) for u in range(16) for v in range(6)]
+    a = Analysis(Digraph(22, arcs))
+    assert len(a.ci.k_of_xi) == 1 and a.goodness.is_good
+    orders_by_cap = {good_median_order(a, cap=cap) for cap in (20, 21, 25)}
+    assert len(orders_by_cap) == 1
+
+
 def test_good_median_order_refuses_non_star_digraph():
     a = Analysis(Digraph(4, []))  # missing graph is K4
     with pytest.raises(NotGoodDigraphError) as excinfo:
@@ -279,7 +292,7 @@ def test_lemma1_style_inequality_on_good_instances(seed, n):
     order = good_median_order(a)
     ana = analyze(d, order)
     ws = resolve_weights(d, None)
-    jset = set(j_of(d, ana.feed, a.ci))
+    jset = set(j_of(a, ana.feed))
     bound = ws.total(set(ana.good) - jset)
     for x in jset:
         assert ws.total(set(d.neighbors(x, "out")) - jset) <= bound

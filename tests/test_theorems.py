@@ -216,6 +216,26 @@ def test_matching_two_witnesses_examples():
         assert all(brute_has_snp(fixture(name), v) for v in cert.witnesses)
 
 
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_the_empty_digraph_is_refused(tid):
+    with pytest.raises(HypothesisFailedError):
+        THEOREMS[tid](Digraph(0))
+
+
+@pytest.mark.parametrize(
+    "tid, witnesses", [("matching-F-empty-no-sink", (5, 4)), ("two-stars-two", (5, 2))]
+)
+def test_prefix_sedimentation_off_tournaments(tid, witnesses):
+    # the feed 5 is whole, and the prefix it leaves has missing edges
+    d = build(InstanceSpec.parse("star-deleted n=6 seed=1261 shapes=1,1".split()))
+    cert = THEOREMS[tid](d)
+    assert cert.witnesses == witnesses
+    assert cert.trace[-2:] == (
+        "prefix periodic (cycle length 1); out-neighbor 0 of 5 is bad at cycle step 0",
+        f"second witness {witnesses[1]} from J [1, 2, 3, 4]",
+    )
+
+
 def test_matching_with_sink_is_gated():
     d = Digraph(4, [(0, 1), (1, 2), (3, 2), (0, 3)])  # missing {0,2},{1,3}; 2 is a sink
     with pytest.raises(HypothesisFailedError):
