@@ -139,7 +139,8 @@ def cmd_oracle(args) -> Report:
         "second-degrees": [d.second_degree(v) for v in range(d.n)],
     }
     findings = ()
-    if not winners:
+    # a digraph without vertices has no vertex that could violate the conjecture
+    if d.n and not winners:
         findings = ("empty snp set: potential conjecture counterexample",)
     report.add(
         InstanceRecord(
@@ -160,17 +161,18 @@ def cmd_median(args) -> Report:
     else:
         order = local_median_order(d, tuple(range(d.n)), w)
         value, mode = None, "local"
-    ana = analyze(d, order)
+    # the empty order has no feed to analyze
+    ana = analyze(d, order) if order else None
     fb = satisfies_feedback(d, order, w)
     detail = {
         "mode": mode,
         "order": list(order),
         "value": str(value) if value is not None else None,
-        "feed": ana.feed,
-        "good": list(ana.good),
-        "bad": list(ana.bad),
+        "feed": ana.feed if ana else None,
+        "good": list(ana.good) if ana else [],
+        "bad": list(ana.bad) if ana else [],
         "feedback": fb.ok,
-        "feed-snp": has_snp(d, ana.feed, w),
+        "feed-snp": has_snp(d, ana.feed, w) if ana else None,
     }
     status = VERIFIED if fb.ok else FAILED
     report.add(

@@ -135,6 +135,8 @@ class SnpCertificate:
     witnesses: VertexSet
     verdicts: tuple[OracleVerdict, ...]
     trace: tuple[str, ...] = ()
+    # always (): no procedure records a finding; kept because the golden
+    # certificates and the theorem-corpus digest read it
     findings: tuple[str, ...] = ()
 
     @property
@@ -147,7 +149,6 @@ def _certify(
     gate: GateResult,
     witnesses: Sequence[int],
     trace: Sequence[str],
-    findings: Sequence[str] = (),
 ) -> SnpCertificate:
     verdicts = tuple(
         OracleVerdict(w, d.degree(w), d.second_degree(w)) for w in witnesses
@@ -164,7 +165,6 @@ def _certify(
         witnesses=tuple(witnesses),
         verdicts=verdicts,
         trace=tuple(trace),
-        findings=tuple(findings),
     )
 
 
@@ -518,9 +518,10 @@ def _second_witness(
     the feed; the stable branch uses the settled order, the periodic branch
     an order in the cycle where some out-neighbor of the feed is bad.
     candidates maps (J(feed'), feed') of the chosen order, J read from the
-    prefix's own Analysis, to an ordered list of contenders; the first
-    oracle-verified one distinct from the feed wins.  A tournament prefix
-    has only whole vertices, so it builds no component index.
+    prefix's own Analysis, to an ordered list of contenders, and the first
+    is the designated witness.  Every contender lies in the prefix, so it
+    differs from the feed.  A tournament prefix has only whole vertices, so
+    it builds no component index.
     """
     trace: list[str] = []
     first = order[-1]
@@ -557,13 +558,9 @@ def _second_witness(
     feed_sub = chosen[-1]
     feed_orig = mapping[feed_sub]
     jset = tuple(mapping[i] for i in j_of(a, feed_sub))
-    for w in candidates(jset, feed_orig):
-        if w != first and has_snp(d, w):
-            trace.append(f"second witness {w} from J {list(jset)}")
-            return w, trace
-    raise ConsistencyError(
-        f"no oracle-verified second witness among candidates in J {list(jset)}"
-    )
+    w = candidates(jset, feed_orig)[0]
+    trace.append(f"second witness {w} from J {list(jset)}")
+    return w, trace
 
 
 def _tournament_witnesses(t: Digraph, cap: int) -> tuple[list[int], list[str]]:
@@ -604,42 +601,24 @@ def _interval_candidates(
     return candidates
 
 
-def _verified(d: Digraph, candidates, limit: int | None = None) -> list[int]:
-    """The distinct oracle-verified candidates, in order, stopping at limit."""
-    found: list[int] = []
-    for v in candidates:
-        if v not in found and has_snp(d, v):
-            found.append(v)
-            if len(found) == limit:
-                break
-    return found
-
-
 def _two_witnesses(
     a: Analysis,
     gate: GateResult,
     trace: list[str],
-    kv_candidates: Sequence[int] | None,
     inner: CandidateFn,
     cap: int,
     interval_note: str = "",
 ) -> SnpCertificate:
     """The common end of the matching, two-stars and three-stars two-witness
-    procedures.
+    procedures when the stars do not cover V(D).
 
-    When the stars cover V(D) (kv_candidates given), the verified candidates
-    are the witnesses.  Otherwise D must be good; the feed of a good median
-    order is the first witness, and the second comes from the feed's
-    interval when J(feed) is a K(xi), else from sedimenting the prefix.
+    D must be good; the feed of a good median order is the first witness.
+    When J(feed) is a K(xi) the witnesses are the first two contenders of
+    the interval, else the second comes from sedimenting the prefix.
     inner orders the contenders of both branches; interval_note ends the
     interval branch's trace line.
     """
     d, theorem_id = a.d, gate.theorem_id
-    if kv_candidates is not None:
-        found = _verified(d, kv_candidates)
-        if len(found) < 2:
-            raise ConsistencyError(f"{theorem_id}: K = V branch found fewer than 2 witnesses")
-        return _certify(d, gate, found, trace)
     if not a.goodness.is_good:
         bad = [k for k, ok in a.goodness.verdicts if not ok]
         raise GoodnessViolationError(f"{theorem_id}: D should be good, K(xi) {bad}")
@@ -649,10 +628,7 @@ def _two_witnesses(
     jset = j_of(a, xn)
     if len(jset) > 1:
         trace.append(f"feed interval K {list(jset)}{interval_note}")
-        found = _verified(d, inner(jset, xn), limit=2)
-        if len(found) < 2:
-            raise ConsistencyError(f"{theorem_id}: interval branch found fewer than 2 witnesses")
-        return _certify(d, gate, found, trace)
+        return _certify(d, gate, inner(jset, xn)[:2], trace)
     second, extra = _second_witness(d, order, inner)
     return _certify(d, gate, [xn, second], trace + extra)
 
@@ -756,10 +732,19 @@ def _build_f_arcs(d: Digraph, ci: ComponentIndex) -> tuple[list[tuple[int, int]]
 
 def _star_interval_witness(
     d: Digraph, ci: ComponentIndex, star: Star, kset: VertexSet, cap: int
-) -> tuple[int, list[str], list[str]]:
+) -> tuple[int, list[str]]:
     """SNP vertex of D[K(xi)]: orient star edges inward, matching edges along
     shortest dependency paths, and take the feed of a center-index-maximal
-    median order of the completed tournament."""
+    median order of the completed tournament T.
+
+    Suppose the feed g differs from the center x, x is not bad and
+    d+(g) = |good| in T.  In a tournament J(g) = {g}, so sed meets equality:
+    the bad vertices move to the front, g right after them, and the rest
+    keep their order.  A vertex that is neither bad nor the feed therefore
+    moves up by (bad vertices after it) + 1, and sed keeps a median order
+    median, so x would sit strictly later in a median order of T.  The
+    order maximizes x's index, so this is an internal fault.
+    """
     x = star.center
     roles = propagate_roles(d, ci.dd, {edge(a, x): (a, x) for a in star.leaves})
     sub, mapping = d.induced(kset)
@@ -780,14 +765,13 @@ def _star_interval_witness(
         f"K(xi) {list(kset)}; interval median order "
         f"{[mapping[i] for i in res.order]} (index of {x} maximal)"
     ]
-    findings: list[str] = []
     ana = analyze(t, res.order)
-    if g != x and inv[x] in ana.good and t.degree(res.order[-1]) == len(ana.good):
-        findings.append(
-            "interval feed could sediment the center higher despite an "
-            "index-maximal order; exact solver invariant violated"
+    if g != x and inv[x] not in ana.bad and t.degree(res.order[-1]) == len(ana.good):
+        raise ConsistencyError(
+            f"sedimentation would move the center {x} later in an order "
+            "that maximizes its index"
         )
-    return g, trace, findings
+    return g, trace
 
 
 def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
@@ -807,7 +791,6 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
     order = good_median_order(a_prime, cap=cap)
     f = order[-1]
     trace.append(f"good median order of D+F: {list(order)}")
-    findings: list[str] = []
     witness = f
     if d_prime.is_whole(f):
         case = "whole-feed"
@@ -816,20 +799,19 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
         star = dec.stars[0] if dec.stars else None
         if star is not None and star.center in jset:
             case = "star-interval"
-            witness, extra, findings = _star_interval_witness(d, a.ci, star, jset, cap)
+            witness, extra = _star_interval_witness(d, a.ci, star, jset, cap)
             trace.extend(extra)
         else:
             case = "cycle-interval"
     trace.append(f"case {case}")
-    return _certify(d, gate, [witness], trace, findings)
+    return _certify(d, gate, [witness], trace)
 
 
 def matching_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
     """Two SNP vertices of a sinkless digraph missing a matching with F empty."""
     a, gate = _require(gate_matching_f_empty, d)
     return _two_witnesses(
-        a, gate, [], None, _default_candidates, cap,
-        interval_note=": every member qualifies",
+        a, gate, [], _default_candidates, cap, interval_note=": every member qualifies"
     )
 
 
@@ -864,16 +846,17 @@ def two_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCert
         "y->A and B->x in some reading, but they do not",
     )
     trace = [f"roles x={x} A={list(a_set)} y={y} B={list(b_set)}"]
-    kv_candidates = None
     if len({x, y, *a_set, *b_set}) == d.n:
         trace.append("K = V(D): center + sub-tournament witness")
         rest = [v for v in range(d.n) if v not in (x, y)]
         sub, mapping = d.induced(rest)
-        kv_candidates = (x, mapping[exact_median_order(sub, cap=cap).order[-1]])
+        return _certify(
+            d, gate, (x, mapping[exact_median_order(sub, cap=cap).order[-1]]), trace
+        )
     inner = _interval_candidates(
         d, (x, y), (x,), lambda sub: [exact_median_order(sub, cap=cap).order[-1]]
     )
-    return _two_witnesses(a, gate, trace, kv_candidates, inner, cap)
+    return _two_witnesses(a, gate, trace, inner, cap)
 
 
 def _three_star_shape_check(dd: DependencyDigraph, stars: tuple[Star, Star, Star]):
@@ -941,7 +924,6 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
     trace = [
         f"roles x={x} A={list(a_set)} y={y} B={list(b_set)} z={z} C={list(c_set)}"
     ]
-    kv_candidates = None
     if len({x, y, z, *a_set, *b_set, *c_set}) == d.n:
         trace.append("K = V(D): sub-tournament pair + qualifying center")
         rest = [v for v in range(d.n) if v not in (x, y, z)]
@@ -950,11 +932,11 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
             raise ConsistencyError("three-stars-two: H = D - centers has a sink")
         ws, _ = _tournament_witnesses(sub, cap)
         center = _three_star_qualifying_center(x, a_set, y, b_set, z, c_set)
-        kv_candidates = (*[mapping[w] for w in ws], center)
+        return _certify(d, gate, (*[mapping[w] for w in ws], center), trace)
     inner = _interval_candidates(
         d, (x, y, z), (), lambda sub: _tournament_witnesses(sub, cap)[0]
     )
-    return _two_witnesses(a, gate, trace, kv_candidates, inner, cap)
+    return _two_witnesses(a, gate, trace, inner, cap)
 
 
 THEOREMS: dict[str, Callable[..., SnpCertificate]] = {

@@ -32,6 +32,14 @@ def test_oracle_on_fixture(capsys):
     assert payload["summary"]["verified"] == 1
 
 
+def test_oracle_flags_no_counterexample_without_vertices(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out = run(["oracle", "-", "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["detail"]["snp-set"] == [] and rec["findings"] == []
+
+
 def test_oracle_on_file(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text("3 3\n0 1\n0 2\n1 2\n")
@@ -46,6 +54,17 @@ def test_median_reports_feedback(capsys):
     assert rec["detail"]["order"] == [0, 1, 2]
     assert rec["detail"]["value"] == "3"
     assert rec["detail"]["feedback"] is True
+
+
+def test_median_of_the_empty_digraph_reports_the_empty_order(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out = run(["median", "-", "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "verified"
+    detail = rec["detail"]
+    assert (detail["order"], detail["feed"], detail["feed-snp"]) == ([], None, None)
+    assert (detail["good"], detail["bad"]) == ([], [])
 
 
 def test_median_above_the_exact_cap_takes_the_local_path(capsys):

@@ -280,6 +280,36 @@ def test_sed_of_median_preserves_weight(seed, n):
     assert satisfies_feedback(d, out).ok
 
 
+def test_sed_on_equality_moves_every_good_or_out_vertex_up():
+    # The argument behind the star-interval check of star_matching_witness:
+    # in a tournament with d+(feed) = |good|, sed gives a median order in
+    # which every vertex that is neither bad nor the feed sits later by
+    # (bad vertices after it) + 1, so an index-maximal vertex is the feed
+    # or bad.
+    kept = moved = past_bad = 0
+    for seed in range(120):
+        for n in range(4, 10):
+            t = random_tournament(n, seed)
+            a = Analysis(t)
+            for tie in (None, *range(n)):
+                res = exact_median_order(t, tiebreak=None if tie is None else [tie])
+                ana = analyze(t, res.order)
+                if t.degree(ana.feed) != len(ana.good):
+                    continue
+                kept += 1
+                out = sed(a, res.order)
+                assert forward_weight(t, out) == res.value
+                for p, v in enumerate(res.order[:-1]):
+                    if v not in ana.bad:
+                        later = sum(u in ana.bad for u in res.order[p + 1:])
+                        assert out.index(v) == p + later + 1
+                        moved += 1
+                        past_bad += later > 0
+                if tie is not None:
+                    assert tie == ana.feed or tie in ana.bad
+    assert kept > 1000 and moved > 1500 and past_bad > 50
+
+
 @given(st.integers(0, 200), st.integers(3, 8))
 @settings(max_examples=80, deadline=None)
 def test_lemma1_style_inequality_on_good_instances(seed, n):

@@ -19,6 +19,7 @@ from seymour.forge import (
     random_star_deleted,
     random_tournament,
 )
+from seymour import theorems
 from seymour.stars import edge
 from seymour.theorems import (
     THEOREM_IDS,
@@ -234,6 +235,22 @@ def test_prefix_sedimentation_off_tournaments(tid, witnesses):
         "prefix periodic (cycle length 1); out-neighbor 0 of 5 is bad at cycle step 0",
         f"second witness {witnesses[1]} from J [1, 2, 3, 4]",
     )
+
+
+def test_a_designated_witness_without_the_snp_raises(monkeypatch):
+    # snp set (1, 2, 3, 4, 5); the construction designates (5, 2).  With
+    # vertex 0 designated first, no other contender may take its place.
+    d = build(InstanceSpec.parse("star-deleted n=6 seed=1261 shapes=1,1".split()))
+    assert snp_set(d) == (1, 2, 3, 4, 5)
+    real = theorems._interval_candidates
+
+    def zero_first(*args):
+        inner = real(*args)
+        return lambda jset, feed: [0] + [v for v in inner(jset, feed) if v != 0]
+
+    monkeypatch.setattr(theorems, "_interval_candidates", zero_first)
+    with pytest.raises(ConsistencyError, match="fails the oracle"):
+        THEOREMS["two-stars-two"](d)
 
 
 def test_matching_with_sink_is_gated():
