@@ -12,7 +12,11 @@ interval feedback property:
 
 where neighborhood weights are vertex-set weights inside the interval.
 One scan finds the first violation; `satisfies_feedback` reports it and
-`local_median_order` repairs it.
+`local_median_order` repairs it.  Both build signed rows once per call,
+rows[v][u] = w(u) if v -> u, -w(u) if u -> v and 0 otherwise (n * n
+integers), so each row of the scan is one running sum (`accumulate`)
+over a slice of the order, with a `max` or `min` deciding whether it is
+searched.  Each repair move rescans and re-checks the whole order.
 
 Every kernel reads the weights as integers over one common denominator,
 which orders every sum exactly as the rational weights do.  A `Weighting`
@@ -97,6 +101,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import and_, mul, or_
 from typing import Sequence
 
 from .dependency import Analysis, j_of
@@ -587,42 +593,61 @@ class FeedbackReport:
     violation: tuple[int, int] | None  # 1-based (i, j), first by (i asc, j desc)
 
 
+def _signed_rows(d: Digraph, weights: Sequence[int]) -> list[list[int]]:
+    """rows[v][u] = w(u) if v -> u, -w(u) if u -> v, and 0 otherwise.
+
+    Summed over the vertices of an interval, row v gives
+    w(N+(v)) - w(N-(v)) inside it.  The rows hold n * n integers.
+    """
+    rows = []
+    for v in range(d.n):
+        out_m, in_m = d.out_mask(v), d.in_mask(v)
+        rows.append([
+            wu if out_m >> u & 1 else -wu if in_m >> u & 1 else 0
+            for u, wu in enumerate(weights)
+        ])
+    return rows
+
+
 def _first_violation(
-    d: Digraph, order: Sequence[int], weights: Sequence[int]
+    rows: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[int, int, str] | None:
     """First interval feedback violation, 0-based, by (i asc, j desc, head first).
 
-    A head violation (i, j) has w(N+(v_i)) < w(N-(v_i)) inside [i, j], so
-    moving v_i to position j gains; a tail violation has
-    w(N-(v_j)) < w(N+(v_j)) inside [i, j], so moving v_j to position i gains.
+    rows are the signed rows of `_signed_rows`.  A head violation (i, j) has
+    w(N+(v_i)) < w(N-(v_i)) inside [i, j], so moving v_i to position j
+    gains; a tail violation has w(N-(v_j)) < w(N+(v_j)) inside [i, j], so
+    moving v_j to position i gains.
+
+    Tail row j is one running sum of row v_j over v_{j-1}, ..., v_0; its
+    least i with a positive sum is its violation.  The least i wins, and on
+    a tie the larger j, so a row is searched only when the sums that could
+    reach i <= the current tail's i have a positive maximum.  Head row i is
+    one running sum over v_{i+1}, ..., v_{n-1}, and its largest j with a
+    negative sum is its violation.  Head rows run for i up to the tail's i:
+    a head violation at a smaller i wins, and at the tail's i only one with
+    j >= the tail's j does, so the minimum is taken over those sums only.
     """
     n = len(order)
     tail = None
-    for j in range(n):
-        out_m, in_m = d.out_mask(order[j]), d.in_mask(order[j])
-        s = 0  # w(N+) - w(N-) inside [i, j]
-        for i in range(j - 1, -1, -1):
-            u = order[i]
-            if out_m >> u & 1:
-                s += weights[u]
-            elif in_m >> u & 1:
-                s -= weights[u]
-            if s > 0 and (tail is None or i <= tail[0]):
-                tail = (i, j)
-    for i in range(n if tail is None else tail[0] + 1):
-        out_m, in_m = d.out_mask(order[i]), d.in_mask(order[i])
-        s = 0
-        head = None
-        for j in range(i + 1, n):
-            u = order[j]
-            if out_m >> u & 1:
-                s += weights[u]
-            elif in_m >> u & 1:
-                s -= weights[u]
-            if s < 0:
-                head = j
-        if head is not None and (tail is None or i < tail[0] or head >= tail[1]):
-            return i, head, "head"
+    for j in range(1, n):
+        # sums[k] = w(N+) - w(N-) of v_j inside [j - 1 - k, j]
+        sums = list(accumulate(map(rows[order[j]].__getitem__, order[j - 1 :: -1])))
+        lo = 0 if tail is None else j - 1 - tail[0]
+        if max(sums[lo:], default=0) > 0:
+            k = j - 1
+            while sums[k] <= 0:
+                k -= 1
+            tail = (j - 1 - k, j)
+    for i in range(n - 1 if tail is None else tail[0] + 1):
+        # sums[k] = w(N+) - w(N-) of v_i inside [i, i + 1 + k]
+        sums = list(accumulate(map(rows[order[i]].__getitem__, order[i + 1 :])))
+        lo = 0 if tail is None or i < tail[0] else tail[1] - i - 1
+        if min(sums[lo:], default=0) < 0:
+            k = len(sums) - 1
+            while sums[k] >= 0:
+                k -= 1
+            return i, i + 1 + k, "head"
     return None if tail is None else (*tail, "tail")
 
 
@@ -631,25 +656,46 @@ def satisfies_feedback(
 ) -> FeedbackReport:
     """Check the interval feedback property of an order."""
     order = _check_order(d, order)
-    found = _first_violation(d, order, _int_weights(d, w)[0])
+    found = _first_violation(_signed_rows(d, _int_weights(d, w)[0]), order)
     if found is None:
         return FeedbackReport(True, None)
     i, j, _ = found
     return FeedbackReport(False, (i + 1, j + 1))
 
 
-def _eps_triple(d: Digraph, order: Sequence[int], weights: Sequence[int]):
-    w0 = 0
-    w1 = 0
-    w2 = 0
-    for i, u in enumerate(order):
-        out_m = d.out_mask(u)
-        for v in order[i + 1 :]:
-            if out_m >> v & 1:
-                w0 += weights[u] * weights[v]
-                w1 += weights[u] + weights[v]
-                w2 += 1
-    return (w0, w1, w2)
+def _weight_classes(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """(weight, mask of the vertices of that weight), per distinct positive weight."""
+    masks: dict[int, int] = {}
+    for v, wv in enumerate(weights):
+        if wv:
+            masks[wv] = masks.get(wv, 0) | 1 << v
+    return list(masks.items())
+
+
+def _eps_triple(
+    in_masks: Sequence[int],
+    weights: Sequence[int],
+    classes: Sequence[tuple[int, int]],
+    order: Sequence[int],
+) -> tuple[int, int, int]:
+    """(A, E, C) of the module docstring over the forward arcs of order.
+
+    A running placed mask, read against each vertex's in-mask, gives its
+    placed in-neighbors: C counts them, and their weight sums take one
+    popcount per weight class of `_weight_classes`.
+    """
+    placed = accumulate(map((1).__lshift__, order), or_, initial=0)
+    inter = list(map(and_, placed, map(in_masks.__getitem__, order)))
+    w_order = list(map(weights.__getitem__, order))
+    cnt = list(map(int.bit_count, inter))
+    # A sums w(v) * sw(v) and E sums sw(v) + cnt(v) * w(v), where sw(v) is
+    # the weight of v's placed in-neighbors, wt times their count in class wt
+    a = e = 0
+    for wt, m in classes:
+        hits = list(map(int.bit_count, map(m.__and__, inter)))
+        a += wt * sum(map(mul, w_order, hits))
+        e += wt * sum(hits)
+    return a, e + sum(map(mul, w_order, cnt)), sum(cnt)
 
 
 def local_median_order(
@@ -657,15 +703,23 @@ def local_median_order(
 ) -> LinearOrder:
     """Repair feedback violations by reinsertion moves until none remain.
 
-    Each move strictly increases the epsilon-augmented forward weight (and
-    never decreases the plain forward weight), so the loop terminates and
-    the result satisfies the feedback property.
+    Each move takes the first violation of `_first_violation` and strictly
+    increases the epsilon-augmented forward weight (A, E, C) (and never
+    decreases the plain forward weight A), so the loop terminates and the
+    result satisfies the feedback property.  The signed rows of
+    `_signed_rows`, n * n integers, are built once per call; every scan
+    runs on them from scratch.  After each move the whole order's triple is
+    recomputed by `_eps_triple` and must exceed the one before, or the move
+    raises ConsistencyError.
     """
     order = list(_check_order(d, init))
     weights = _int_weights(d, w)[0]
-    current = _eps_triple(d, order, weights)
+    rows = _signed_rows(d, weights)
+    in_masks = [d.in_mask(v) for v in range(d.n)]
+    classes = _weight_classes(weights)
+    current = _eps_triple(in_masks, weights, classes, order)
     while True:
-        found = _first_violation(d, order, weights)
+        found = _first_violation(rows, order)
         if found is None:
             return tuple(order)
         i, j, kind = found
@@ -673,7 +727,7 @@ def local_median_order(
             order.insert(j, order.pop(i))
         else:
             order.insert(i, order.pop(j))
-        new = _eps_triple(d, order, weights)
+        new = _eps_triple(in_masks, weights, classes, order)
         if not new > current:
             raise ConsistencyError("repair move failed to increase forward weight")
         current = new

@@ -235,3 +235,102 @@ def whole_table_median_dp(
         s ^= 1 << v
     order.reverse()
     return order, total, tie
+
+
+def brute_first_violation(
+    d: Digraph, order: Sequence[int], w: Weighting | None = None
+) -> tuple[int, int, str] | None:
+    """The first interval feedback violation of order, from the definition.
+
+    Lists every head violation (i, j), w(N+(v_i)) < w(N-(v_i)) inside
+    [i, j], and every tail violation, w(N-(v_j)) < w(N+(v_j)) inside
+    [i, j], with Fraction weights over 0-based i < j, and returns the least
+    by (i, -j, head first), or None.  The reference `satisfies_feedback`
+    must match.
+    """
+    ws = resolve_weights(d, w)
+    n = len(order)
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            inside = order[i : j + 1]
+            for kind, v in (("head", order[i]), ("tail", order[j])):
+                out_w = sum((ws[u] for u in inside if d.has_arc(v, u)), Fraction(0))
+                in_w = sum((ws[u] for u in inside if d.has_arc(u, v)), Fraction(0))
+                if (out_w < in_w) if kind == "head" else (in_w < out_w):
+                    found.append((i, -j, kind == "tail", (i, j, kind)))
+    return min(found)[-1] if found else None
+
+
+def scalar_first_violation(
+    d: Digraph, order: Sequence[int], weights: Sequence[int]
+) -> tuple[int, int, str] | None:
+    """The feedback scan one pair at a time on the digraph's masks: every
+    tail row, then head rows up to the first tail's i.  The reference
+    `orders._first_violation` must match on every order."""
+    n = len(order)
+    tail = None
+    for j in range(n):
+        out_m, in_m = d.out_mask(order[j]), d.in_mask(order[j])
+        s = 0  # w(N+) - w(N-) inside [i, j]
+        for i in range(j - 1, -1, -1):
+            u = order[i]
+            if out_m >> u & 1:
+                s += weights[u]
+            elif in_m >> u & 1:
+                s -= weights[u]
+            if s > 0 and (tail is None or i <= tail[0]):
+                tail = (i, j)
+    for i in range(n if tail is None else tail[0] + 1):
+        out_m, in_m = d.out_mask(order[i]), d.in_mask(order[i])
+        s = 0
+        head = None
+        for j in range(i + 1, n):
+            u = order[j]
+            if out_m >> u & 1:
+                s += weights[u]
+            elif in_m >> u & 1:
+                s -= weights[u]
+            if s < 0:
+                head = j
+        if head is not None and (tail is None or i < tail[0] or head >= tail[1]):
+            return i, head, "head"
+    return None if tail is None else (*tail, "tail")
+
+
+def scalar_eps_triple(d: Digraph, order: Sequence[int], weights: Sequence[int]):
+    """(A, E, C) over the forward arcs of order, one pair at a time."""
+    w0 = 0
+    w1 = 0
+    w2 = 0
+    for i, u in enumerate(order):
+        out_m = d.out_mask(u)
+        for v in order[i + 1 :]:
+            if out_m >> v & 1:
+                w0 += weights[u] * weights[v]
+                w1 += weights[u] + weights[v]
+                w2 += 1
+    return (w0, w1, w2)
+
+
+def scalar_local_median_order(
+    d: Digraph, init: Sequence[int], w: Weighting | None = None
+) -> tuple[int, ...]:
+    """Local median repair on `scalar_first_violation` and
+    `scalar_eps_triple`: the reference `orders.local_median_order` must
+    match move for move, so in its result."""
+    order = list(init)
+    weights = [1] * d.n if w is None else resolve_weights(d, w).ints
+    current = scalar_eps_triple(d, order, weights)
+    while True:
+        found = scalar_first_violation(d, order, weights)
+        if found is None:
+            return tuple(order)
+        i, j, kind = found
+        if kind == "head":
+            order.insert(j, order.pop(i))
+        else:
+            order.insert(i, order.pop(j))
+        new = scalar_eps_triple(d, order, weights)
+        assert new > current, "repair move failed to increase forward weight"
+        current = new

@@ -36,7 +36,13 @@ from seymour.orders import (
     sediment,
 )
 
-from oracles import brute_forward_weight, brute_median_value, whole_table_median_dp
+from oracles import (
+    brute_first_violation,
+    brute_forward_weight,
+    brute_median_value,
+    scalar_local_median_order,
+    whole_table_median_dp,
+)
 
 
 def test_forward_weight_examples():
@@ -263,6 +269,90 @@ def test_local_median_satisfies_feedback(seed, n):
     rep = satisfies_feedback(d, out)
     assert rep.ok
     assert forward_weight(d, out) >= forward_weight(d, tuple(range(n)))
+
+
+MIXED_WEIGHTS = (0, 1, Fraction(3, 2), Fraction(2, 3), 2)
+
+
+def _scan_instance(rng, n, kind, weighting):
+    s = rng.randrange(1 << 30)
+    if kind == "tournament":
+        d = random_tournament(n, s)
+    else:
+        d = random_digraph(n, s, rng.choice((0.3, 0.6, 0.8, 1.0)))
+    if weighting == "unit":
+        w = None
+    elif weighting == "zero":
+        w = Weighting([0] * n)
+    else:
+        w = Weighting([rng.choice(MIXED_WEIGHTS) for _ in range(n)])
+    init = list(range(n))
+    rng.shuffle(init)
+    return d, w, tuple(init)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_feedback_scan_matches_the_definition(n):
+    rng = random.Random(f"feedback-scan|{n}")
+    for kind in ("tournament", "digraph"):
+        for weighting in ("unit", "mixed", "zero"):
+            for _ in range(6):
+                d, w, init = _scan_instance(rng, n, kind, weighting)
+                rows = orders._signed_rows(d, orders._int_weights(d, w)[0])
+                # a shuffled start, and its repair, which has no violation
+                for order in (init, local_median_order(d, init, w)):
+                    want = brute_first_violation(d, order, w)
+                    assert orders._first_violation(rows, order) == want
+                    rep = satisfies_feedback(d, order, w)
+                    assert rep.ok == (want is None)
+                    assert rep.violation == (None if want is None else (want[0] + 1, want[1] + 1))
+
+
+@pytest.mark.parametrize("n", (24, 36, 48))
+@pytest.mark.parametrize("kind", ("tournament", "digraph"))
+@pytest.mark.parametrize("weighted", (False, True))
+def test_local_median_order_matches_the_scalar_repair(n, kind, weighted):
+    """Above the golden files' sizes, the row scan and the in-mask triple
+    repair every start to the order of the pair-at-a-time reference."""
+    rng = random.Random(f"local-repair|{n}|{kind}|{weighted}")
+    for _ in range(2):
+        s = rng.randrange(1 << 30)
+        d = random_tournament(n, s) if kind == "tournament" else random_digraph(n, s, 0.8)
+        w = Weighting([rng.choice(MIXED_WEIGHTS) for _ in range(n)]) if weighted else None
+        init = list(range(n))
+        rng.shuffle(init)
+        assert local_median_order(d, init, w) == scalar_local_median_order(d, init, w)
+
+
+def test_a_repair_move_without_gain_raises(monkeypatch):
+    # TT3 in order (0, 1, 2) has every arc forward; moving 0 to the end
+    # loses two arcs, and the whole-order triple check must refuse it
+    monkeypatch.setattr(orders, "_first_violation", lambda rows, order: (0, 2, "head"))
+    with pytest.raises(ConsistencyError, match="failed to increase"):
+        local_median_order(fixture("TT3"), (0, 1, 2))
+    # a move that leaves the order unchanged gains nothing either
+    monkeypatch.setattr(orders, "_first_violation", lambda rows, order: (1, 1, "tail"))
+    with pytest.raises(ConsistencyError, match="failed to increase"):
+        local_median_order(fixture("TT3"), (0, 1, 2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eps_triple_matches_the_definition(seed):
+    rng = random.Random(f"eps-triple|{seed}")
+    n = rng.randrange(12)
+    d = random_digraph(n, seed, rng.random())
+    weights = [rng.choice((0, 0, 1, 2, 3, 6)) for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    forward = [(u, v) for u, v in d.arcs if pos[u] < pos[v]]
+    want = (
+        sum(weights[u] * weights[v] for u, v in forward),
+        sum(weights[u] + weights[v] for u, v in forward),
+        len(forward),
+    )
+    in_masks = [d.in_mask(v) for v in range(n)]
+    assert orders._eps_triple(in_masks, weights, orders._weight_classes(weights), order) == want
 
 
 @given(st.integers(0, 300), st.integers(3, 8))
