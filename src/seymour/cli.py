@@ -7,8 +7,17 @@ with the SNCWB_ prefix (SNCWB_CAP_EXACT, SNCWB_SEED, SNCWB_BUDGET,
 SNCWB_FORMAT, SNCWB_OUT, SNCWB_JOBS); explicit flags win, and a bad
 preset is a usage error like a bad flag.
 
+The single-instance commands (oracle, median, sediment, delta, verify) are
+functions of (args, digraph, weights) returning (status, detail, findings),
+set as `run` by their subparsers, with `echo` naming any extra config key.
+`run_instance` loads the instance, builds the report and adds the record
+that `_add_timed` times; a filtered sweep adds each instance's record
+through the same `_add_timed`, the one place that reads the clock.
+
 Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
-or any other internal fault, 2 = usage or parse error.
+or any other internal fault, 2 = usage or parse error (including an
+instance-spec key its kind does not read, an instance path that cannot be
+read, and an --out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -19,9 +28,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import replace
 
-from . import forge, theorems
+from . import forge
 from .dependency import Analysis, good_edges
 from .digraph import Digraph, Weighting
 from .errors import HypothesisFailedError, ParseError, SeymourError
@@ -55,9 +63,12 @@ WEIGHTS_IGNORED = "instance weights ignored: theorem procedures are unweighted"
 # the pool forks every worker at once, so --jobs has a ceiling
 MAX_JOBS = 64
 
+# what a single-instance command returns: (status, detail, findings)
+Outcome = tuple[str, dict, tuple[str, ...]]
+
 
 class UsageError(Exception):
-    """A bad command line or instance spec; exits 2."""
+    """A bad command line, instance spec or path; exits 2."""
 
 
 def _env_default(name: str, fallback):
@@ -83,9 +94,12 @@ def _load_instance(source: str) -> tuple[Digraph, Weighting | None, str]:
     if source == "-":
         return (*parse_instance(sys.stdin.read()), "<stdin>")
     if os.path.exists(source):
-        with open(source) as fh:
-            d, w = parse_instance(fh.read())
-        return d, w, source
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {source}: {exc.strerror or exc}") from None
+        return (*parse_instance(text), source)
     if source in forge.FIXTURE_NAMES:
         return forge.fixture(source), None, f"fixture {source}"
     d, text = _build_spec(source.split())
@@ -105,32 +119,49 @@ def _order_arg(text: str | None, n: int) -> tuple[int, ...]:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _config(args, **extra) -> dict:
-    cfg = {
+    return {
         "cap-exact": args.cap_exact,
         "seed": args.seed,
         "budget": args.budget,
         "jobs": args.jobs,
+        **extra,
     }
-    cfg.update(extra)
-    return cfg
+
+
+def _add_timed(report: Report, d: Digraph, source: str, run, *inputs) -> None:
+    """Add the record of run(*inputs) -> Outcome, timed: the CLI's one clock."""
+    start = time.perf_counter()
+    status, detail, findings = run(*inputs)
+    report.add(InstanceRecord(
+        d.fingerprint(), source, status, detail, findings, time.perf_counter() - start,
+    ))
+
+
+def run_instance(args) -> Report:
+    """Run one single-instance command: its subparser sets `run` and `echo`."""
+    d, w, source = _load_instance(args.instance)
+    echo = {key: getattr(args, attr) for key, attr in args.echo.items()}
+    report = Report(args.command, _config(args, **echo, instance=source))
+    _add_timed(report, d, source, args.run, args, d, w)
+    return report
 
 
 # ---------------------------------------------------------------------------
-# single-instance commands
+# single-instance commands: (args, digraph, weights) -> (status, detail, findings)
 
 
-def cmd_oracle(args) -> Report:
-    d, w, source = _load_instance(args.instance)
-    report = Report("oracle", _config(args, instance=source))
-    start = time.perf_counter()
+def _oracle(args, d: Digraph, w: Weighting | None) -> Outcome:
     winners = snp_set(d, w)
     detail = {
         "n": d.n,
@@ -138,23 +169,13 @@ def cmd_oracle(args) -> Report:
         "out-degrees": [d.degree(v) for v in range(d.n)],
         "second-degrees": [d.second_degree(v) for v in range(d.n)],
     }
-    findings = ()
     # a digraph without vertices has no vertex that could violate the conjecture
     if d.n and not winners:
-        findings = ("empty snp set: potential conjecture counterexample",)
-    report.add(
-        InstanceRecord(
-            d.fingerprint(), source, VERIFIED, detail, findings,
-            time.perf_counter() - start,
-        )
-    )
-    return report
+        return VERIFIED, detail, ("empty snp set: potential conjecture counterexample",)
+    return VERIFIED, detail, ()
 
 
-def cmd_median(args) -> Report:
-    d, w, source = _load_instance(args.instance)
-    report = Report("median", _config(args, instance=source))
-    start = time.perf_counter()
+def _median(args, d: Digraph, w: Weighting | None) -> Outcome:
     if d.n <= args.cap_exact:
         res = exact_median_order(d, w, cap=args.cap_exact)
         order, value, mode = res.order, res.value, "exact"
@@ -174,20 +195,10 @@ def cmd_median(args) -> Report:
         "feedback": fb.ok,
         "feed-snp": has_snp(d, ana.feed, w) if ana else None,
     }
-    status = VERIFIED if fb.ok else FAILED
-    report.add(
-        InstanceRecord(
-            d.fingerprint(), source, status, detail, (),
-            time.perf_counter() - start,
-        )
-    )
-    return report
+    return (VERIFIED if fb.ok else FAILED), detail, ()
 
 
-def cmd_sediment(args) -> Report:
-    d, w, source = _load_instance(args.instance)
-    report = Report("sediment", _config(args, instance=source))
-    start = time.perf_counter()
+def _sediment(args, d: Digraph, w: Weighting | None) -> Outcome:
     order = _order_arg(args.order, d.n)
     trace = sediment(Analysis(d), order, w, budget=args.budget)
     out = trace.outcome
@@ -199,20 +210,10 @@ def cmd_sediment(args) -> Report:
         "steps": len(trace.orders) - 1,
         "final": list(trace.final),
     }
-    status = VERIFIED if out.kind in ("stable", "periodic") else FAILED
-    report.add(
-        InstanceRecord(
-            d.fingerprint(), source, status, detail, (),
-            time.perf_counter() - start,
-        )
-    )
-    return report
+    return (VERIFIED if out.kind in ("stable", "periodic") else FAILED), detail, ()
 
 
-def cmd_delta(args) -> Report:
-    d, w, source = _load_instance(args.instance)
-    report = Report("delta", _config(args, instance=source))
-    start = time.perf_counter()
+def _delta(args, d: Digraph, w: Weighting | None) -> Outcome:
     analysis = Analysis(d)
     dd, ci = analysis.dd, analysis.ci
     # goodness is defined for disjoint-star missing graphs only
@@ -229,57 +230,37 @@ def cmd_delta(args) -> Report:
         "min-in-degree": dd.min_in_degree,
         "good-digraph": analysis.goodness.is_good if stars else None,
     }
-    report.add(
-        InstanceRecord(
-            d.fingerprint(), source, VERIFIED if stars else GATED, detail,
-            () if stars else (analysis.dec_error,),
-            time.perf_counter() - start,
-        )
-    )
-    return report
+    return (VERIFIED, detail, ()) if stars else (GATED, detail, (analysis.dec_error,))
 
 
-def _verify_record(theorem_id: str, d: Digraph, source: str, cap: int) -> InstanceRecord:
-    start = time.perf_counter()
+def _prove(theorem_id: str, d: Digraph, w: Weighting | None, cap: int) -> Outcome:
+    """A theorem procedure's outcome; a weighted instance gets a finding."""
     try:
         cert = THEOREMS[theorem_id](d, cap=cap)
     except HypothesisFailedError as exc:
-        return InstanceRecord(
-            d.fingerprint(), source, GATED,
-            {"theorem": theorem_id, "clause": exc.clause, "evidence": exc.evidence},
-            (), time.perf_counter() - start,
-        )
+        status, findings = GATED, ()
+        detail = {"theorem": theorem_id, "clause": exc.clause, "evidence": exc.evidence}
     except SeymourError as exc:
-        return InstanceRecord(
-            d.fingerprint(), source, FAILED,
-            {"theorem": theorem_id, "error": f"{type(exc).__name__}: {exc}"},
-            (), time.perf_counter() - start,
-        )
-    detail = {
-        "theorem": theorem_id,
-        "witnesses": list(cert.witnesses),
-        "verdicts": [
-            {"vertex": v.vertex, "d+": v.out_degree, "d++": v.second_degree}
-            for v in cert.verdicts
-        ],
-        "trace": list(cert.trace),
-    }
-    return InstanceRecord(
-        d.fingerprint(), source, VERIFIED, detail, cert.findings,
-        time.perf_counter() - start,
-    )
-
-
-def cmd_verify(args) -> Report:
-    d, w, source = _load_instance(args.instance)
-    report = Report(
-        "verify", _config(args, theorem=args.theorem_id, instance=source)
-    )
-    record = _verify_record(args.theorem_id, d, source, args.cap_exact)
+        status, findings = FAILED, ()
+        detail = {"theorem": theorem_id, "error": f"{type(exc).__name__}: {exc}"}
+    else:
+        status, findings = VERIFIED, cert.findings
+        detail = {
+            "theorem": theorem_id,
+            "witnesses": list(cert.witnesses),
+            "verdicts": [
+                {"vertex": v.vertex, "d+": v.out_degree, "d++": v.second_degree}
+                for v in cert.verdicts
+            ],
+            "trace": list(cert.trace),
+        }
     if w is not None:
-        record = replace(record, findings=record.findings + (WEIGHTS_IGNORED,))
-    report.add(record)
-    return report
+        findings += (WEIGHTS_IGNORED,)
+    return status, detail, findings
+
+
+def _verify(args, d: Digraph, w: Weighting | None) -> Outcome:
+    return _prove(args.theorem_id, d, w, args.cap_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +312,7 @@ def _sweep_predicate(args, report: Report) -> None:
     )
     report.config["attempts"] = res.attempts
     for d in res.instances:
-        report.add(_verify_record(args.family, d, args.family, args.cap_exact))
+        _add_timed(report, d, args.family, _prove, args.family, d, None, args.cap_exact)
 
 
 def cmd_sweep(args) -> Report:
@@ -391,25 +372,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force snp set")
     p.add_argument("instance", help="file path, fixture name, or instance spec")
-    p.set_defaults(handler=cmd_oracle)
+    p.set_defaults(handler=run_instance, run=_oracle, echo={})
 
     p = sub.add_parser("median", parents=[common], help="median order + analysis")
     p.add_argument("instance")
-    p.set_defaults(handler=cmd_median)
+    p.set_defaults(handler=run_instance, run=_median, echo={})
 
     p = sub.add_parser("sediment", parents=[common], help="sedimentation trace")
     p.add_argument("instance")
     p.add_argument("--order", help="initial order, e.g. '0,1,2' (default identity)")
-    p.set_defaults(handler=cmd_sediment)
+    p.set_defaults(handler=run_instance, run=_sediment, echo={})
 
     p = sub.add_parser("delta", parents=[common], help="dependency digraph report")
     p.add_argument("instance")
-    p.set_defaults(handler=cmd_delta)
+    p.set_defaults(handler=run_instance, run=_delta, echo={})
 
     p = sub.add_parser("verify", parents=[common], help="run a theorem procedure")
     p.add_argument("theorem_id", choices=THEOREM_IDS)
     p.add_argument("instance")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=run_instance, run=_verify, echo={"theorem": "theorem_id"})
 
     p = sub.add_parser("sweep", parents=[common], help="exhaustive or filtered runs")
     p.add_argument("family", choices=SWEEP_FAMILIES)
@@ -452,15 +433,15 @@ def main(argv=None) -> int:
             )
     try:
         result = args.handler(args)
+        if isinstance(result, int):
+            return result
+        _write(emit_report(result, args.format), args.out)
     except (ParseError, UsageError) as exc:
         print(f"seymour: {exc}", file=sys.stderr)
         return 2
     except (SeymourError, ValueError) as exc:
         print(f"seymour: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, int):
-        return result
-    _write(emit_report(result, args.format), args.out)
     return result.exit_code
 
 

@@ -232,16 +232,18 @@ class ComponentIndex:
     k_of_xi: tuple[VertexSet, ...]
 
     def component_is_path(self, ci: int) -> bool:
-        """True when weak component ci is a directed path (isolated edge included)."""
+        """True when weak component ci is a directed path (isolated edge included).
+
+        A weakly connected component whose edges all have in- and out-degree
+        at most 1 has underlying degree at most 2, so it is one directed path
+        or one directed cycle.  The cycle has no start and the path exactly
+        one, and the chain from that start covers the path.
+        """
         comp = self.components[ci]
         succ, pred = self.dd.succ, self.dd.pred
         if any(len(succ[e]) > 1 or len(pred[e]) > 1 for e in comp):
             return False
-        starts = sum(1 for e in comp if not pred[e])
-        if starts != 1:
-            return False  # a 1-in/1-out weak component with no start is a cycle
-        # the chain from the start must cover the component
-        return len(self.path_chain(ci)) == len(comp)
+        return any(not pred[e] for e in comp)
 
     def path_chain(self, ci: int) -> tuple[Edge, ...]:
         succ = self.dd.succ

@@ -494,14 +494,28 @@ class InstanceSpec:
     kind: str
     params: tuple[tuple[str, str], ...] = ()
 
-    KINDS = (
-        "fixture",
-        "random-tournament",
-        "random-digraph",
-        "star-deleted",
-        "losing-cycle-gadget",
-        "all-kings",
-    )
+    # each kind and the keys `build` reads for it
+    KINDS = {
+        "fixture": ("name",),
+        "random-tournament": ("n", "seed"),
+        "random-digraph": ("n", "seed", "density"),
+        "star-deleted": ("n", "seed", "shapes"),
+        "losing-cycle-gadget": ("k",),
+        "all-kings": ("n",),
+    }
+
+    def __post_init__(self) -> None:
+        """Refuse an unknown kind, and a key that the kind does not read or
+        that repeats: otherwise a typo would quietly build another instance."""
+        kinds = self.KINDS
+        if self.kind not in kinds:
+            raise ValueError(f"unknown instance kind {self.kind!r}; choose from {tuple(kinds)}")
+        keys = [k for k, _ in self.params]
+        for k in keys:
+            if k not in kinds[self.kind]:
+                raise ValueError(f"{self.kind} reads no key {k!r}; it reads {kinds[self.kind]}")
+            if keys.count(k) > 1:
+                raise ValueError(f"key {k!r} repeated in the instance spec")
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.params:
@@ -514,16 +528,13 @@ class InstanceSpec:
         """`kind key=value ...`, e.g. `losing-cycle-gadget k=3`."""
         if not tokens:
             raise ValueError("empty instance spec")
-        kind = tokens[0]
-        if kind not in cls.KINDS:
-            raise ValueError(f"unknown instance kind {kind!r}; choose from {cls.KINDS}")
         params = []
         for tok in tokens[1:]:
             if "=" not in tok:
                 raise ValueError(f"malformed parameter {tok!r} (expected key=value)")
             k, _, v = tok.partition("=")
             params.append((k, v))
-        return cls(kind, tuple(params))
+        return cls(tokens[0], tuple(params))
 
     def text(self) -> str:
         return " ".join([self.kind, *(f"{k}={v}" for k, v in self.params)])
@@ -548,6 +559,5 @@ def build(spec: InstanceSpec) -> Digraph:
         return random_star_deleted(n, seed, shapes)
     if kind == "losing-cycle-gadget":
         return losing_cycle_gadget(int(spec.get("k", "3")))
-    if kind == "all-kings":
-        return all_kings_tournament(n)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    # the last of InstanceSpec.KINDS: the spec refused any other kind
+    return all_kings_tournament(n)

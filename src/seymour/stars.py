@@ -52,7 +52,15 @@ class StarDecomposition:
 
 
 def decompose(d: Digraph) -> StarDecomposition:
-    """Split the missing graph into disjoint stars; raise if impossible."""
+    """Split the missing graph into disjoint stars; raise if impossible.
+
+    A component of k >= 3 vertices that passes the edge count has k - 1
+    edges and is connected, so it is a tree.  If one vertex has degree
+    k - 1, the other k - 1 vertices share the degree sum 2(k - 1) - (k - 1)
+    = k - 1, each at least 1, so each is a leaf; and a second vertex of
+    degree k - 1 would close a triangle.  So a component with a center has
+    exactly one, and every other vertex is its leaf.
+    """
     pairs = d.missing_pairs()
     adjacency: dict[int, list[int]] = {}
     for u, v in pairs:
@@ -84,18 +92,14 @@ def decompose(d: Digraph) -> StarDecomposition:
         if len(component) == 2:
             matching.append((component[0], component[1]))
             continue
-        centers = [x for x in component if len(adjacency[x]) == len(component) - 1]
-        if len(centers) != 1:
+        center = next(
+            (x for x in component if len(adjacency[x]) == len(component) - 1), None
+        )
+        if center is None:
             raise NotDisjointStarsError(
                 f"missing-graph component {component} is not a star"
             )
-        center = centers[0]
-        leaves = tuple(x for x in component if x != center)
-        if any(len(adjacency[x]) != 1 for x in leaves):
-            raise NotDisjointStarsError(
-                f"missing-graph component {component} is not a star"
-            )
-        stars.append(Star(center, leaves))
+        stars.append(Star(center, tuple(x for x in component if x != center)))
     return StarDecomposition(tuple(stars), tuple(matching))
 
 

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used to validate the fast paths."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from seymour.digraph import Digraph, Weighting, resolve_weights
@@ -33,6 +33,36 @@ def brute_missing_pairs(d: Digraph) -> tuple[tuple[int, int], ...]:
         for v in range(u + 1, d.n)
         if (u, v) not in arcs and (v, u) not in arcs
     )
+
+
+def brute_star_forest(pairs: Sequence[tuple[int, int]]) -> tuple[set, set] | None:
+    """The disjoint-star reading of a missing graph from the definition.
+
+    Tries every set C of centers: each missing edge joins a center to a
+    non-center, and each non-center meets exactly one missing edge (a leaf
+    of exactly one star).  Returns ({(center, leaves)} for stars of >= 2
+    leaves, {(u, v)} for single edges), or None when no C works.
+    """
+    degree: dict[int, int] = {}
+    for u, v in pairs:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    touched = sorted(degree)
+    for size in range(len(touched) + 1):
+        for centers in combinations(touched, size):
+            if all((u in centers) != (v in centers) for u, v in pairs) and all(
+                degree[x] == 1 for x in touched if x not in centers
+            ):
+                stars = {
+                    (c, tuple(sorted(x for e in pairs if c in e for x in e if x != c)))
+                    for c in centers
+                    if degree[c] >= 2
+                }
+                matching = {
+                    (u, v) for u, v in pairs if degree[u] == degree[v] == 1
+                }
+                return stars, matching
+    return None
 
 
 def brute_losing(d: Digraph):

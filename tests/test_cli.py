@@ -6,9 +6,11 @@ import pytest
 from seymour.cli import WEIGHTS_IGNORED, main
 from seymour.dependency import Analysis
 from seymour.digraph import Digraph, Weighting
+from seymour.errors import ConsistencyError
 from seymour.forge import fixture
 from seymour.instfile import emit_instance
 from seymour.reporting import InstanceRecord, Report, emit_report
+from seymour.theorems import THEOREMS
 
 
 def run(argv, capsys):
@@ -363,3 +365,121 @@ def test_reporting_empty_run_and_exit_codes():
     assert [r.fingerprint for r in rep.sorted_records()] == ["aa", "ff"]
     with pytest.raises(ValueError):
         emit_report(rep, "xml")
+
+
+@pytest.mark.parametrize("spec", [
+    "random-tournament n=7 sed=3",
+    "star-deleted n=6 seed=1 shape=1,1",
+    "random-digraph n=5 seed=1 desnity=0.9",
+    "losing-cycle-gadget k=3 n=abc",
+    "fixture name=C3 n=3",
+    "all-kings n=5 seed=1",
+    "random-tournament n=7 n=8",
+])
+@pytest.mark.parametrize("command", ["gen", "oracle"])
+def test_a_spec_key_the_kind_does_not_read_is_a_usage_error(command, spec, capsys):
+    argv = [command, *spec.split()] if command == "gen" else [command, spec]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("seymour: ") and err.count("\n") == 1
+    assert "reads no key" in err or "repeated" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "fixture name=C3",
+    "random-tournament n=7 seed=3",
+    "random-digraph n=5 seed=1 density=0.9",
+    "star-deleted n=6 seed=1 shapes=1,1",
+    "losing-cycle-gadget k=3",
+    "all-kings n=5",
+])
+def test_every_key_a_kind_reads_is_accepted(spec, capsys):
+    assert run(["gen", *spec.split()], capsys)[0] == 0
+
+
+def test_an_unreadable_instance_path_is_a_usage_error(tmp_path, capsys):
+    assert main(["oracle", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"seymour: cannot read {tmp_path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["oracle", "C3"], ["gen", "fixture", "name=C3"]])
+def test_an_unwritable_out_path_is_a_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"seymour: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_sediment_defaults_to_the_identity_order(capsys):
+    reports = []
+    for order in ([], ["--order", "0,1,2"]):
+        code, out = run(["sediment", "C3", *order, "--format", "machine"], capsys)
+        assert code == 0
+        reports.append(_without_timing(json.loads(out)))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("order, message", [
+    ("0,x,2", "malformed order"), ("0,1", "not a permutation"), ("0,1,1", "not a permutation"),
+])
+def test_a_bad_sediment_order_is_a_usage_error(order, message, capsys):
+    assert main(["sediment", "C3", "--order", order]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_flags_an_empty_snp_set(monkeypatch, capsys):
+    # only a counterexample to the conjecture reaches this finding
+    monkeypatch.setattr("seymour.cli.snp_set", lambda d, w=None: ())
+    code, out = run(["oracle", "C3", "--format", "machine"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "verified"
+    assert rec["findings"] == ["empty snp set: potential conjecture counterexample"]
+
+
+def _planted_fault(d, cap):
+    raise ConsistencyError("planted fault")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "two-stars", "star-deleted n=6 seed=1261 shapes=1,1"],
+    ["sweep", "two-stars", "--max-n", "6", "--budget", "60"],
+])
+def test_a_procedure_fault_is_a_failed_record(argv, monkeypatch, capsys):
+    monkeypatch.setitem(THEOREMS, "two-stars", _planted_fault)
+    code, out = run([*argv, "--format", "machine"], capsys)
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert records and all(rec["status"] == "failed" for rec in records)
+    assert all(
+        rec["detail"] == {"theorem": "two-stars", "error": "ConsistencyError: planted fault"}
+        for rec in records
+    )
+
+
+@pytest.mark.parametrize("family, name, value, check, evaluated", [
+    ("tournaments-n4", "has_snp", False, "median feed has snp", 64),
+    ("digraphs-n4", "snp_set", (), "snp set nonempty", 729),
+])
+def test_an_exhaustive_sweep_records_each_violation(
+    family, name, value, check, evaluated, monkeypatch, capsys
+):
+    monkeypatch.setattr(f"seymour.cli.{name}", lambda *args: value)
+    code, out = run(["sweep", family, "--format", "machine"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["config"]["violations"] == evaluated
+    assert payload["summary"]["failed"] == evaluated
+    arcs = {Digraph(4, map(tuple, rec["detail"]["arcs"])).arcs for rec in payload["records"]}
+    assert len(arcs) == evaluated
+    assert all(rec["detail"]["check"] == check for rec in payload["records"])
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--cap-exact", "--jobs"])
+def test_a_zero_cap_budget_or_jobs_exits_two(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["median", "TT3", flag, "0"])
+    assert exc.value.code == 2
+    assert ">= 1" in capsys.readouterr().err

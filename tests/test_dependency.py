@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import permutations
+
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import (
@@ -238,3 +241,27 @@ def test_distinct_k_xi_are_disjoint(seed, n):
     for k in ci.k_of_xi:
         assert not seen & set(k)
         seen |= set(k)
+
+
+def _brute_is_path(comp, arcs) -> bool:
+    """A directed path from the definition: some ordering of the component's
+    edges whose consecutive pairs are exactly the arcs inside it."""
+    inside = {(a, b) for a, b in arcs if a in comp and b in comp}
+    return any(inside == set(zip(p, p[1:])) for p in permutations(comp))
+
+
+def test_component_is_path_matches_the_definition():
+    seen = Counter()
+    for seed in range(150):
+        for n in (5, 6, 7, 8):
+            ci = component_index(random_digraph(n, seed, 0.7))
+            for i, comp in enumerate(ci.components):
+                if len(comp) > 6:
+                    continue  # the permutation oracle stays small
+                want = _brute_is_path(comp, ci.dd.arcs)
+                assert ci.component_is_path(i) == want
+                if want:
+                    assert len(ci.path_chain(i)) == len(comp)
+                seen[len(comp) > 1, want] += 1
+    # paths of more than one edge and components that are not paths both occur
+    assert seen[True, True] > 50 and seen[True, False] > 50

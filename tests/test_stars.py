@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from seymour.digraph import Digraph
 from seymour.errors import NotDisjointStarsError
 from seymour.forge import (
+    all_digraphs,
     delete_disjoint_stars,
     fixture,
     random_digraph,
@@ -21,13 +24,51 @@ from seymour.stars import (
     orient_toward_centers,
 )
 
-from oracles import brute_convenient
+from oracles import brute_convenient, brute_missing_pairs, brute_star_forest
 
 
 def test_decompose_c4x_is_matching():
     dec = decompose(fixture("C4X"))
     assert dec.stars == () and dec.matching == ((0, 2), (1, 3))
     assert dec.component_count() == 2
+
+
+def _with_missing(n: int, missing) -> Digraph:
+    """The digraph on n vertices whose missing pairs are exactly `missing`,
+    every other pair oriented from the smaller vertex."""
+    gone = set(missing)
+    return Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in gone])
+
+
+def _digraphs_for_decompose():
+    """Every digraph on <= 4 vertices, one digraph per missing graph on 5
+    vertices (decompose reads only the missing graph), and a seeded sample
+    of missing graphs on 6 to 8 vertices."""
+    for n in range(5):
+        yield from all_digraphs(n)
+    pairs5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    for bits in range(1 << len(pairs5)):
+        yield _with_missing(5, [p for i, p in enumerate(pairs5) if bits >> i & 1])
+    rng = random.Random(20)
+    for _ in range(600):
+        n = rng.randint(6, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        yield _with_missing(n, rng.sample(pairs, rng.randint(1, n)))
+
+
+def test_decompose_matches_the_star_forest_definition():
+    verdicts = {True: 0, False: 0}
+    for d in _digraphs_for_decompose():
+        want = brute_star_forest(brute_missing_pairs(d))
+        verdicts[want is not None] += 1
+        if want is None:
+            with pytest.raises(NotDisjointStarsError):
+                decompose(d)
+            continue
+        dec = decompose(d)
+        assert {(s.center, s.leaves) for s in dec.stars} == want[0]
+        assert set(dec.matching) == want[1]
+    assert verdicts[True] > 500 and verdicts[False] > 500
 
 
 def test_decompose_star_plus_matching():
