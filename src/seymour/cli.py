@@ -16,8 +16,9 @@ through the same `_add_timed`, the one place that reads the clock.
 
 Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
 or any other internal fault, 2 = usage or parse error (including an
-instance-spec key its kind does not read, an instance path that cannot be
-read, and an --out path that cannot be written).
+instance-spec key its kind does not read, an instance file or stdin that
+cannot be read or is not UTF-8 text, and an --out path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from typing import Callable
 
 from . import forge
 from .dependency import Analysis, good_edges
@@ -89,17 +91,30 @@ def _build_spec(tokens: list[str]) -> tuple[Digraph, str]:
         raise UsageError(str(exc)) from None
 
 
+def _read_text(name: str, read: Callable[[], str]) -> str:
+    """The text read() returns; a usage error unless it is readable UTF-8."""
+    try:
+        text = read()
+        # stdin may decode a bad byte to a lone surrogate instead of raising
+        text.encode("utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {name}: {exc.strerror or exc}") from None
+    except UnicodeError:
+        raise UsageError(f"cannot read {name}: not UTF-8 text") from None
+    return text
+
+
 def _load_instance(source: str) -> tuple[Digraph, Weighting | None, str]:
     """Resolve a file path, a fixture name, or an inline instance spec."""
     if source == "-":
-        return (*parse_instance(sys.stdin.read()), "<stdin>")
+        return (*parse_instance(_read_text("<stdin>", sys.stdin.read)), "<stdin>")
     if os.path.exists(source):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {source}: {exc.strerror or exc}") from None
-        return (*parse_instance(text), source)
+
+        def read() -> str:
+            with open(source, encoding="utf-8") as fh:
+                return fh.read()
+
+        return (*parse_instance(_read_text(source, read)), source)
     if source in forge.FIXTURE_NAMES:
         return forge.fixture(source), None, f"fixture {source}"
     d, text = _build_spec(source.split())

@@ -4,14 +4,24 @@ Format: the first non-comment line is "n m"; the next m non-comment lines
 are arcs "u v" (arc u -> v); any following lines "w v p/q" assign weight
 p/q to vertex v.  Lines starting with '#' and blank lines are ignored.
 Line numbers in errors count every physical line, comments included.
+
+A weight numeral is p, p/q or a decimal p.q, of at most MAX_WEIGHT_CHARS
+characters and without an exponent, so numerator and denominator stay
+below 10**40.  Over the at most 20 vertices of an exact solve, every
+median value then prints within Python's 4,300-digit limit on integer
+string conversion.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .digraph import Digraph, Weighting, resolve_weights
 from .errors import ParseError
+
+MAX_WEIGHT_CHARS = 40
+_WEIGHT_NUMERAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 
 def parse_instance(text: str) -> tuple[Digraph, Weighting | None]:
@@ -42,9 +52,16 @@ def parse_instance(text: str) -> tuple[Digraph, Weighting | None]:
                 )
             if len(tokens) != 3:
                 raise ParseError("expected weight line 'w v p/q'", lineno)
+            numeral = tokens[2]
+            if len(numeral) > MAX_WEIGHT_CHARS or not _WEIGHT_NUMERAL.fullmatch(numeral):
+                raise ParseError(
+                    f"weight {numeral[:MAX_WEIGHT_CHARS]!r} is not p, p/q or p.q"
+                    f" of at most {MAX_WEIGHT_CHARS} characters",
+                    lineno,
+                )
             try:
                 v = int(tokens[1])
-                value = Fraction(tokens[2])
+                value = Fraction(numeral)
             except (ValueError, ZeroDivisionError):
                 raise ParseError("expected weight line 'w v p/q'", lineno) from None
             if not 0 <= v < n:
@@ -86,7 +103,8 @@ def emit_instance(d: Digraph, w: Weighting | None = None) -> str:
     """Canonical text for an instance; parse(emit(d, w)) == (d, w).
 
     Raises ValueError when w does not cover exactly d's vertices or holds a
-    zero weight, which the format cannot express.
+    zero weight or a weight longer than MAX_WEIGHT_CHARS characters, which
+    the format cannot express.
     """
     lines = [f"{d.n} {len(d.arcs)}"]
     lines.extend(f"{u} {v}" for u, v in d.arcs)
@@ -94,5 +112,7 @@ def emit_instance(d: Digraph, w: Weighting | None = None) -> str:
         resolve_weights(d, w)
         if 0 in w.values:
             raise ValueError(f"weights must be positive, got {w!r}")
+        if any(len(str(v)) > MAX_WEIGHT_CHARS for v in w.values):
+            raise ValueError(f"a weight is longer than {MAX_WEIGHT_CHARS} characters")
         lines.extend(f"w {v} {w.values[v]}" for v in range(d.n))
     return "\n".join(lines) + "\n"

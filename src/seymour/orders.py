@@ -32,6 +32,13 @@ they take its `Analysis` and read J(feed), goodness and the K(xi) blocks
 from its component index: `good_median_order(Analysis(d))`,
 `sediment(Analysis(d), order)`, `sed(a, order)`.  In the library only
 `Analysis` builds a component index, and J of a whole feed reads none.
+Every sedimentation step runs in one loop, `sediment_within`, on d's
+out-masks in d's labels over the vertex set P of the order: `sediment`
+runs it with P = V, and the second-witness argument of the theorems with
+P = V minus the first witness.  Each step keeps its order's bad mask, and
+J of a feed adjacent to every other vertex of P is the feed itself, so a
+tournament's prefix builds no subdigraph, no Analysis and no component
+index.
 
 The exact solver additionally optimizes an epsilon-augmented weight
 (w + eps, compared lexicographically) so its output satisfies the feedback
@@ -103,9 +110,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import and_, mul, or_
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .dependency import Analysis, j_of
+from .dependency import Analysis
 from .digraph import (
     Digraph,
     VertexSet,
@@ -128,11 +135,11 @@ MAX_EXACT_CAP = 20
 # both the push and the split cost more than they save below it: with the
 # split at every n, calls on the sinkless tournaments on 2-6 vertices took
 # about 25% longer, and on random tournaments the split breaks even near
-# n = 8.  The bounded push kernel took 1.3-3.3x the whole-table time on the
-# sinkless tournaments on 3-5 vertices and 1.06x on the 26,624 on 6
-# vertices with unit weights (0.75-0.87x with a tiebreak or weights).  On
-# random 7-vertex tournaments it took 0.55-0.76x, a gain given up for one
-# floor.
+# n = 8.  With unit weights the bounded push took 3.0-4.6x the whole-table
+# time on the sinkless tournaments on 4-5 vertices, 1.84-1.88x on the
+# 26,624 on 6 vertices and 1.16-1.19x on 2,000 random 7-vertex tournaments,
+# and 0.73-0.75x on 1,000 random 8-vertex tournaments (Python 3.11, best
+# of 5, three runs).
 _LARGE_DP_N = 8
 
 
@@ -773,29 +780,6 @@ def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
     )
 
 
-def _sed_step(a: Analysis, order: LinearOrder, weights: Sequence[int]) -> LinearOrder | None:
-    """The order after one sedimentation step, None on a strict inequality.
-
-    The step compares w(N+(feed) \\ J) with w(good \\ J) for J = J(feed).
-    """
-    ana = analyze(a.d, order)
-    jset = set(j_of(a, ana.feed))
-    out_side = sum(weights[v] for v in ana.out_of_feed if v not in jset)
-    good_side = sum(weights[v] for v in ana.good if v not in jset)
-    balance = out_side - good_side
-    if balance < 0:
-        return None
-    if balance > 0:
-        raise ConsistencyError(
-            "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
-        )
-    bad = set(ana.bad) - jset
-    front = [v for v in order if v in bad]
-    block = [v for v in order if v in jset]
-    rest = [v for v in order if v not in bad and v not in jset]
-    return tuple(front + block + rest)
-
-
 def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> LinearOrder:
     """One sedimentation step of a good median order of a.d.
 
@@ -838,26 +822,104 @@ def sediment(
 ) -> SedimentationTrace:
     """Iterate sed on a.d until a strict inequality (stable) or a repeat (periodic)."""
     order = _check_order(a.d, order)
-    weights = _int_weights(a.d, w)[0]
+    weights = None if w is None else resolve_weights(a.d, w).ints
     if budget is None:
         budget = default_sediment_budget(a.d.n)
+    run = sediment_within(a.d, order, weights, budget, lambda: a.ci.k_of_xi)
+    return SedimentationTrace(tuple(run.orders), run.outcome)
+
+
+class SedimentationRun(NamedTuple):
+    """The orders and outcome of `sediment_within`, with each step's masks.
+
+    bad[i] and j[i] are the bad vertices and J(feed) of orders[i], for
+    every order a step was taken from: all of them unless the budget ran
+    out, when the last order has none.
+    """
+
+    orders: list[LinearOrder]
+    outcome: SedOutcome
+    bad: list[int]
+    j: list[int]
+
+
+def sediment_within(
+    d: Digraph,
+    order: LinearOrder,
+    weights: Sequence[int] | None,
+    budget: int,
+    k_of_xi: Callable[[], Sequence[VertexSet]],
+) -> SedimentationRun:
+    """Sedimentation of order, an order of a vertex set P of d, inside d[P].
+
+    This is the one sedimentation loop: `sediment` runs it with P = V and
+    the second-witness argument with P = V minus the first witness.  It
+    reads d's out-masks in d's labels, restricted to P, and builds no
+    subdigraph.  J(feed) is the feed alone when the feed is adjacent to
+    every other vertex of P; otherwise it is the K(xi) holding the feed
+    among k_of_xi(), the K(xi) sets of d[P] in d's labels, which is called
+    at most once and only then.  weights are integer vertex weights, None
+    for unit weights.  The step compares w(N+(feed) \\ J) with w(good \\ J)
+    inside P: a strict inequality ends the run (stable), equality moves the
+    bad vertices outside J to the front, then J, then the rest, each in
+    order, and a repeated order ends it (periodic).
+    """
+    if not order:
+        raise ValueError("cannot analyze an empty order")
+    p = set_to_mask(order)
+    out = d.out_mask
+    weigh = int.bit_count if weights is None else (
+        lambda m: sum(weights[v] for v in mask_to_set(m))
+    )
+    k_masks = None
     orders = [order]
     seen = {order: 0}
+    bads: list[int] = []
+    js: list[int] = []
     for q in range(budget):
-        nxt = _sed_step(a, orders[-1], weights)
-        if nxt is None:
-            return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
+        cur = orders[-1]
+        f = cur[-1]
+        out_f = out(f) & p
+        reach = good = bad = 0
+        for u in cur[:-1]:
+            bit = 1 << u
+            if out_f & bit:
+                reach |= out(u)
+            elif reach & bit:
+                good |= bit
+            else:
+                bad |= bit
+        if (out_f | d.in_mask(f)) & p == p ^ 1 << f:
+            j = 1 << f
+        else:
+            if k_masks is None:
+                k_masks = [set_to_mask(k) for k in k_of_xi()]
+            # a missing edge at f inside P is a vertex of Delta, so some K(xi) holds f
+            j = next(k for k in k_masks if k >> f & 1)
+        bads.append(bad)
+        js.append(j)
+        balance = weigh(out_f & ~j) - weigh(good & ~j)
+        if balance < 0:
+            return SedimentationRun(orders, SedOutcome("stable", rank=q), bads, js)
+        if balance > 0:
+            raise ConsistencyError(
+                "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
+            )
+        front = bad & ~j
+        rest = ~(front | j)
+        nxt = tuple(
+            [v for v in cur if front >> v & 1]
+            + [v for v in cur if j >> v & 1]
+            + [v for v in cur if rest >> v & 1]
+        )
         # an order that equality leaves fixed is seen: a cycle of length 1
         if nxt in seen:
-            return SedimentationTrace(
-                tuple(orders),
-                SedOutcome(
-                    "periodic", cycle_start=seen[nxt], cycle_length=q + 1 - seen[nxt]
-                ),
-            )
+            start = seen[nxt]
+            outcome = SedOutcome("periodic", cycle_start=start, cycle_length=q + 1 - start)
+            return SedimentationRun(orders, outcome, bads, js)
         seen[nxt] = q + 1
         orders.append(nxt)
-    return SedimentationTrace(tuple(orders), SedOutcome("budget-exceeded"))
+    return SedimentationRun(orders, SedOutcome("budget-exceeded"), bads, js)
 
 
 def good_median_order(

@@ -15,7 +15,7 @@ wrong certificate.
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .digraph import Digraph, Weighting, resolve_weights, set_to_mask, VertexSet
+from .digraph import Digraph, Weighting, mask_to_set, resolve_weights, set_to_mask, VertexSet
 from .stars import (
     MAX_READINGS,
     Edge,
@@ -38,9 +38,10 @@ from .dependency import (
 from .orders import (
     DEFAULT_EXACT_CAP,
     analyze,
+    default_sediment_budget,
     exact_median_order,
     good_median_order,
-    sediment,
+    sediment_within,
 )
 from .errors import (
     ConsistencyError,
@@ -515,38 +516,40 @@ def _second_witness(
 
     order is a good median order of d whose feed order[-1], the first
     witness, is a whole vertex.  The prefix is sedimented inside d minus
-    the feed; the stable branch uses the settled order, the periodic branch
-    an order in the cycle where some out-neighbor of the feed is bad.
-    candidates maps (J(feed'), feed') of the chosen order, J read from the
-    prefix's own Analysis, to an ordered list of contenders, and the first
-    is the designated witness.  Every contender lies in the prefix, so it
-    differs from the feed.  A tournament prefix has only whole vertices, so
-    it builds no component index.
+    the feed, on d's masks (`sediment_within`); the stable branch uses the
+    settled order, the periodic branch an order in the cycle where some
+    out-neighbor of the feed is bad.  candidates maps (J(feed'), feed') of
+    the chosen order to an ordered list of contenders, and the first is the
+    designated witness.  Every contender lies in the prefix, so it differs
+    from the feed.  J of a feed with a missing edge in the prefix reads the
+    prefix's own Analysis, built on first need; a tournament prefix has
+    only whole vertices, so it builds no subdigraph and no Analysis.
     """
-    trace: list[str] = []
     first = order[-1]
-    prefix = order[:-1]
-    sub, mapping = d.induced(prefix)
-    inv = {v: i for i, v in enumerate(mapping)}
-    sub_order = tuple(inv[v] for v in prefix)
-    a = Analysis(sub)
-    run = sediment(a, sub_order)
+    prefix = tuple(order[:-1])
+
+    def prefix_k_of_xi() -> list[VertexSet]:
+        sub, mapping = d.induced(prefix)
+        return [tuple(mapping[i] for i in k) for k in Analysis(sub).ci.k_of_xi]
+
+    run = sediment_within(
+        d, prefix, None, default_sediment_budget(len(prefix)), prefix_k_of_xi
+    )
     outcome = run.outcome
     if outcome.kind == "stable":
-        chosen = run.final
-        trace.append(f"prefix stable after {outcome.rank} step(s)")
+        chosen = len(run.orders) - 1
+        trace = [f"prefix stable after {outcome.rank} step(s)"]
     elif outcome.kind == "periodic":
-        cycle = run.orders[outcome.cycle_start :]
-        outs = d.neighbors(first)
-        for q, cand in enumerate(cycle):
-            bad = set(analyze(sub, cand).bad)
-            hit = [u for u in outs if inv[u] in bad]
+        outs = d.out_mask(first)
+        for q in range(outcome.cycle_length):
+            chosen = outcome.cycle_start + q
+            hit = outs & run.bad[chosen]
             if hit:
-                chosen = cand
-                trace.append(
+                trace = [
                     f"prefix periodic (cycle length {outcome.cycle_length}); "
-                    f"out-neighbor {hit[0]} of {first} is bad at cycle step {q}"
-                )
+                    f"out-neighbor {(hit & -hit).bit_length() - 1} of {first} "
+                    f"is bad at cycle step {q}"
+                ]
                 break
         else:
             raise ConsistencyError(
@@ -554,11 +557,9 @@ def _second_witness(
                 f"out-neighbor of {first} is bad"
             )
     else:
-        raise ConsistencyError(f"sedimentation exhausted its budget on {sub.n} vertices")
-    feed_sub = chosen[-1]
-    feed_orig = mapping[feed_sub]
-    jset = tuple(mapping[i] for i in j_of(a, feed_sub))
-    w = candidates(jset, feed_orig)[0]
+        raise ConsistencyError(f"sedimentation exhausted its budget on {len(prefix)} vertices")
+    jset = mask_to_set(run.j[chosen])
+    w = candidates(jset, run.orders[chosen][-1])[0]
     trace.append(f"second witness {w} from J {list(jset)}")
     return w, trace
 

@@ -4,7 +4,15 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
+from seymour.dependency import Analysis, j_of
 from seymour.digraph import Digraph, Weighting, resolve_weights
+from seymour.errors import ConsistencyError
+from seymour.orders import (
+    SedimentationTrace,
+    SedOutcome,
+    analyze,
+    default_sediment_budget,
+)
 from seymour.stars import Star, StarDecomposition
 
 
@@ -364,3 +372,85 @@ def scalar_local_median_order(
         new = scalar_eps_triple(d, order, weights)
         assert new > current, "repair move failed to increase forward weight"
         current = new
+
+
+def reference_sediment(
+    a: Analysis, order: Sequence[int], w: Weighting | None = None, budget: int | None = None
+) -> SedimentationTrace:
+    """Sedimentation by `analyze` and `j_of` on a.d, one step at a time:
+    the reference for `orders.sediment_within` with P = V."""
+    order = tuple(order)
+    weights = resolve_weights(a.d, w).ints
+    if budget is None:
+        budget = default_sediment_budget(a.d.n)
+    orders = [order]
+    seen = {order: 0}
+    for q in range(budget):
+        ana = analyze(a.d, orders[-1])
+        jset = set(j_of(a, ana.feed))
+        balance = sum(weights[v] for v in ana.out_of_feed if v not in jset) - sum(
+            weights[v] for v in ana.good if v not in jset
+        )
+        if balance < 0:
+            return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
+        if balance > 0:
+            raise ConsistencyError(
+                "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
+            )
+        bad = set(ana.bad) - jset
+        cur = orders[-1]
+        nxt = tuple(
+            [v for v in cur if v in bad]
+            + [v for v in cur if v in jset]
+            + [v for v in cur if v not in bad and v not in jset]
+        )
+        if nxt in seen:
+            return SedimentationTrace(
+                tuple(orders),
+                SedOutcome("periodic", cycle_start=seen[nxt], cycle_length=q + 1 - seen[nxt]),
+            )
+        seen[nxt] = q + 1
+        orders.append(nxt)
+    return SedimentationTrace(tuple(orders), SedOutcome("budget-exceeded"))
+
+
+def reference_second_witness(d: Digraph, order: Sequence[int], candidates) -> tuple[int, list[str]]:
+    """Second SNP vertex by sedimenting the prefix as its own induced
+    subdigraph, with its own Analysis: the reference for
+    `theorems._second_witness`, which sediments on masks inside d."""
+    trace: list[str] = []
+    first = order[-1]
+    prefix = order[:-1]
+    sub, mapping = d.induced(prefix)
+    inv = {v: i for i, v in enumerate(mapping)}
+    a = Analysis(sub)
+    run = reference_sediment(a, tuple(inv[v] for v in prefix))
+    outcome = run.outcome
+    if outcome.kind == "stable":
+        chosen = run.final
+        trace.append(f"prefix stable after {outcome.rank} step(s)")
+    elif outcome.kind == "periodic":
+        cycle = run.orders[outcome.cycle_start :]
+        outs = d.neighbors(first)
+        for q, cand in enumerate(cycle):
+            bad = set(analyze(sub, cand).bad)
+            hit = [u for u in outs if inv[u] in bad]
+            if hit:
+                chosen = cand
+                trace.append(
+                    f"prefix periodic (cycle length {outcome.cycle_length}); "
+                    f"out-neighbor {hit[0]} of {first} is bad at cycle step {q}"
+                )
+                break
+        else:
+            raise ConsistencyError(
+                "periodic sedimentation cycle has no order where an "
+                f"out-neighbor of {first} is bad"
+            )
+    else:
+        raise ConsistencyError(f"sedimentation exhausted its budget on {sub.n} vertices")
+    feed_sub = chosen[-1]
+    jset = tuple(mapping[i] for i in j_of(a, feed_sub))
+    w = candidates(jset, mapping[feed_sub])[0]
+    trace.append(f"second witness {w} from J {list(jset)}")
+    return w, trace

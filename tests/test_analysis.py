@@ -64,20 +64,28 @@ def test_each_procedure_builds_a_component_index_once_per_digraph(monkeypatch):
 
 
 def test_a_tournaments_second_witness_builds_no_component_index(monkeypatch):
-    # J of a whole vertex is the vertex itself, so no K(xi) is needed
+    # J of a whole vertex is the vertex itself, so no K(xi) is needed, and
+    # the prefix is sedimented on the tournament's own masks: no subdigraph
+    # and no Analysis beyond the one the gate reads
     builds = Counter()
-    original = dependency.component_index
 
-    def counted(d):
-        builds["component_index"] += 1
-        return original(d)
+    def counting(name, original):
+        def counted(*args):
+            builds[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(dependency, "component_index", counted)
+        return counted
+
+    monkeypatch.setattr(
+        dependency, "component_index", counting("component_index", dependency.component_index)
+    )
+    monkeypatch.setattr(Digraph, "induced", counting("induced", Digraph.induced))
+    monkeypatch.setattr(Analysis, "__init__", counting("Analysis", Analysis.__init__))
     sinkless = [t for t in all_tournaments(5) if not t.has_sink()][:50]
     sinkless.append(all_kings_tournament(7))
     for t in sinkless:
         assert len(theorems.havet_thomasse_witnesses(t).witnesses) == 2
-    assert builds["component_index"] == 0
+    assert builds == {"Analysis": len(sinkless)}
 
 
 def test_gates_on_a_fresh_analysis_match_check_hypotheses():

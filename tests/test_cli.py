@@ -403,6 +403,33 @@ def test_an_unreadable_instance_path_is_a_usage_error(tmp_path, capsys):
     assert err.startswith(f"seymour: cannot read {tmp_path}: ") and err.count("\n") == 1
 
 
+NOT_UTF8 = b"\xff\xfe3 0\n"
+
+
+def test_a_non_utf8_instance_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr().err == f"seymour: cannot read {path}: not UTF-8 text\n"
+
+
+# a strict stdin raises on the bad byte; a surrogateescape one (the C
+# locale's) decodes it, here inside a comment the parser would skip
+@pytest.mark.parametrize("data, errors", [(NOT_UTF8, "strict"), (b"# \xff\n3 0\n", "surrogateescape")])
+def test_non_utf8_stdin_is_a_usage_error(data, errors, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors))
+    assert main(["oracle", "-"]) == 2
+    assert capsys.readouterr().err == "seymour: cannot read <stdin>: not UTF-8 text\n"
+
+
+def test_an_unbounded_weight_numeral_is_a_parse_error(tmp_path, capsys):
+    # 1e9999 used to parse, and then the median value failed to print (exit 1)
+    path = tmp_path / "huge.txt"
+    path.write_text("2 1\n0 1\nw 0 1e9999\n")
+    assert main(["median", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("seymour: line 3: weight '1e9999' is not")
+
+
 @pytest.mark.parametrize("argv", [["oracle", "C3"], ["gen", "fixture", "name=C3"]])
 def test_an_unwritable_out_path_is_a_usage_error(argv, tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from seymour.digraph import Weighting
 from seymour.errors import ParseError
 from seymour.forge import fixture, random_digraph
-from seymour.instfile import emit_instance, parse_instance
+from seymour.instfile import MAX_WEIGHT_CHARS, emit_instance, parse_instance
 
 
 def test_parse_c3():
@@ -50,6 +50,14 @@ def test_parse_errors():
         assert hint in str(exc.value), (text, str(exc.value))
 
 
+def test_a_weight_numeral_is_bounded():
+    longest = "1/" + "7" * (MAX_WEIGHT_CHARS - 2)
+    assert parse_instance(f"1 0\nw 0 {longest}\n")[1][0] == Fraction(longest)
+    for numeral in ("1e9999", "1E3", "2" + longest, "1_000", "0x10"):
+        with pytest.raises(ParseError, match=f"at most {MAX_WEIGHT_CHARS} characters"):
+            parse_instance(f"1 0\nw 0 {numeral}\n")
+
+
 @given(st.integers(0, 300), st.integers(1, 10), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_round_trip(seed, n, weighted):
@@ -64,7 +72,12 @@ def test_round_trip(seed, n, weighted):
 
 @pytest.mark.parametrize(
     "values, hint",
-    [([0, 1, 2], "must be positive"), ([1, 2], "covers 2 vertices"), ([1, 2, 3, 4], "covers 4")],
+    [
+        ([0, 1, 2], "must be positive"),
+        ([1, 2], "covers 2 vertices"),
+        ([1, 2, 3, 4], "covers 4"),
+        ([Fraction(1, 10**40), 1, 1], "longer than 40"),
+    ],
 )
 def test_emit_rejects_a_weighting_the_format_cannot_hold(values, hint):
     with pytest.raises(ValueError, match=hint):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -16,7 +17,9 @@ from seymour.errors import (
 )
 from seymour import orders
 from seymour.forge import (
+    all_digraphs,
     all_kings_tournament,
+    all_tournaments,
     fixture,
     losing_cycle_gadget,
     random_digraph,
@@ -40,6 +43,7 @@ from oracles import (
     brute_first_violation,
     brute_forward_weight,
     brute_median_value,
+    reference_sediment,
     scalar_local_median_order,
     whole_table_median_dp,
 )
@@ -187,6 +191,27 @@ def test_sediment_examples():
 
     trace = sediment(Analysis(fixture("TT3")), (0, 1, 2))
     assert trace.outcome.kind == "periodic" and trace.outcome.cycle_length == 1
+
+
+def test_sediment_matches_the_reference_on_every_good_digraph_of_four_vertices():
+    # every start order, unit and mixed weights: equal traces, or both refuse
+    kinds = Counter()
+    for d in all_digraphs(4):
+        a = Analysis(d)
+        if not a.goodness.is_good:
+            continue
+        for w in (None, Weighting([1, 2, 1, 3])):
+            for order in permutations(range(4)):
+                try:
+                    want = reference_sediment(a, order, w)
+                except ConsistencyError as exc:
+                    with pytest.raises(ConsistencyError, match=re.escape(str(exc))):
+                        sediment(a, order, w)
+                    kinds["refused"] += 1
+                    continue
+                assert sediment(a, order, w) == want
+                kinds[want.outcome.kind] += 1
+    assert kinds["stable"] and kinds["periodic"] and kinds["refused"]
 
 
 def test_good_median_order_examples():
@@ -641,6 +666,17 @@ def test_bounded_dp_keeps_only_the_path_of_a_transitive_tournament(n, weighted):
         assert transitions == n * 2 ** (n - 1)
     else:
         assert transitions == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("unit", [1, 3])
+def test_the_pull_loop_matches_the_whole_table_on_every_small_tournament(unit):
+    for n in range(1, 6):
+        for t in all_tournaments(n):
+            in_masks = [t.in_mask(v) for v in range(n)]
+            weights = [unit] * n
+            assert orders._median_dp(in_masks, weights, 0) == whole_table_median_dp(
+                in_masks, weights, 0
+            )
 
 
 @pytest.mark.parametrize("n", range(1, 9))

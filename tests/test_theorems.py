@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seymour.dependency import Analysis
+from seymour.orders import exact_median_order, good_median_order
 from seymour.digraph import Digraph, Weighting
 from seymour.errors import ConsistencyError, HypothesisFailedError
 from seymour.forge import (
     InstanceSpec,
+    all_digraphs,
     all_kings_tournament,
     all_tournaments,
     build,
@@ -43,7 +46,13 @@ from seymour.theorems import (
     two_stars_witness,
 )
 
-from oracles import brute_has_snp, brute_is_king, brute_kings_reading, brute_snp_set
+from oracles import (
+    brute_has_snp,
+    brute_is_king,
+    brute_kings_reading,
+    brute_snp_set,
+    reference_second_witness,
+)
 
 
 def test_has_snp_examples():
@@ -235,6 +244,78 @@ def test_prefix_sedimentation_off_tournaments(tid, witnesses):
         "prefix periodic (cycle length 1); out-neighbor 0 of 5 is bad at cycle step 0",
         f"second witness {witnesses[1]} from J [1, 2, 3, 4]",
     )
+
+
+def _second_witness_or_fault(fn, d, order, candidates=theorems._default_candidates):
+    try:
+        return fn(d, order, candidates)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+def test_second_witness_matches_the_reference_on_tournaments():
+    sinkless = [t for n in range(1, 6) for t in all_tournaments(n) if not t.has_sink()]
+    sinkless.append(all_kings_tournament(7))
+    branches = Counter()
+    for t in sinkless:
+        order = exact_median_order(t).order
+        got = theorems._second_witness(t, order)
+        assert got == reference_second_witness(t, order, theorems._default_candidates)
+        branches[got[1][0].split()[1]] += 1
+    assert branches.keys() == {"stable", "periodic"}
+
+
+def test_second_witness_matches_the_reference_in_the_procedures(monkeypatch):
+    # the filtered searches reach the prefix only through three-stars-two's
+    # inner tournaments; the two pinned specs reach a prefix with missing edges
+    real = theorems._second_witness
+    prefixes = Counter()
+
+    def checked(d, order, candidates=theorems._default_candidates):
+        got = real(d, order, candidates)
+        assert got == reference_second_witness(d, order, candidates)
+        prefixes[d.induced(order[:-1])[0].is_tournament()] += 1
+        return got
+
+    monkeypatch.setattr(theorems, "_second_witness", checked)
+    pinned = [
+        build(InstanceSpec.parse(f"star-deleted n=6 seed={seed} shapes=1,1".split()))
+        for seed in (1261, 2120)
+    ]
+    for tid in ("matching-F-empty-no-sink", "two-stars-two", "three-stars-two"):
+        corpus = list(pinned)
+        for seed in range(3):
+            corpus += filtered_search(tid, 10, seed, budget=400, count=40).instances
+        for d in corpus:
+            try:
+                THEOREMS[tid](d)
+            except HypothesisFailedError:
+                pass
+    assert prefixes[True] and prefixes[False] == 4
+
+
+def test_second_witness_matches_the_reference_on_good_digraphs():
+    # every good median order with a whole feed and missing edges in its
+    # prefix: digraphs on 4 vertices, then random ones on 5-8; equal
+    # (witness, trace), or the same fault where the theorem's other
+    # hypotheses fail
+    def cases():
+        yield from all_digraphs(4)
+        for seed in range(1500):
+            yield random_digraph(5 + seed % 4, seed, 0.85)
+
+    outcomes = Counter()
+    for d in cases():
+        a = Analysis(d)
+        if not a.goodness.is_good:
+            continue
+        order = good_median_order(a)
+        if not d.is_whole(order[-1]) or d.induced(order[:-1])[0].is_tournament():
+            continue
+        got = _second_witness_or_fault(theorems._second_witness, d, order)
+        assert got == _second_witness_or_fault(reference_second_witness, d, order)
+        outcomes["fault" if isinstance(got, str) else got[1][0].split()[1]] += 1
+    assert outcomes.keys() == {"stable", "periodic", "fault"}
 
 
 def test_a_designated_witness_without_the_snp_raises(monkeypatch):
