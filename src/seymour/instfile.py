@@ -5,11 +5,11 @@ are arcs "u v" (arc u -> v); any following lines "w v p/q" assign weight
 p/q to vertex v.  Lines starting with '#' and blank lines are ignored.
 Line numbers in errors count every physical line, comments included.
 
-A weight numeral is p, p/q or a decimal p.q, of at most MAX_WEIGHT_CHARS
-characters and without an exponent, so numerator and denominator stay
-below 10**40.  Over the at most 20 vertices of an exact solve, every
-median value then prints within Python's 4,300-digit limit on integer
-string conversion.
+A weight numeral is p, p/q or a decimal (p.q, p. or .q), of at most
+MAX_WEIGHT_CHARS characters and without an exponent, so numerator and
+denominator stay below 10**40.  Over the at most 20 vertices of an exact
+solve, every median value then prints within Python's 4,300-digit limit
+on integer string conversion.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .digraph import Digraph, Weighting, resolve_weights
 from .errors import ParseError
 
 MAX_WEIGHT_CHARS = 40
-_WEIGHT_NUMERAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
+_WEIGHT_NUMERAL = re.compile(r"[+-]?(\d+(/\d+|\.\d*)?|\.\d+)")
 
 
 def parse_instance(text: str) -> tuple[Digraph, Weighting | None]:

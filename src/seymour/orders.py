@@ -35,8 +35,9 @@ from its component index: `good_median_order(Analysis(d))`,
 Every sedimentation step runs in one loop, `sediment_within`, on d's
 out-masks in d's labels over the vertex set P of the order: `sediment`
 runs it with P = V, and the second-witness argument of the theorems with
-P = V minus the first witness.  Each step keeps its order's bad mask, and
-J of a feed adjacent to every other vertex of P is the feed itself, so a
+P = V minus the first witness.  Each step keeps its order's bad mask and
+weighs a vertex set by one popcount per integer weight class.  J of a
+feed adjacent to every other vertex of P is the feed itself, so a
 tournament's prefix builds no subdigraph, no Analysis and no component
 index.
 
@@ -822,10 +823,10 @@ def sediment(
 ) -> SedimentationTrace:
     """Iterate sed on a.d until a strict inequality (stable) or a repeat (periodic)."""
     order = _check_order(a.d, order)
-    weights = None if w is None else resolve_weights(a.d, w).ints
+    classes = _weight_classes(_int_weights(a.d, w)[0])
     if budget is None:
         budget = default_sediment_budget(a.d.n)
-    run = sediment_within(a.d, order, weights, budget, lambda: a.ci.k_of_xi)
+    run = sediment_within(a.d, order, classes, budget, lambda: a.ci.k_of_xi)
     return SedimentationTrace(tuple(run.orders), run.outcome)
 
 
@@ -846,7 +847,7 @@ class SedimentationRun(NamedTuple):
 def sediment_within(
     d: Digraph,
     order: LinearOrder,
-    weights: Sequence[int] | None,
+    classes: Sequence[tuple[int, int]],
     budget: int,
     k_of_xi: Callable[[], Sequence[VertexSet]],
 ) -> SedimentationRun:
@@ -858,19 +859,17 @@ def sediment_within(
     subdigraph.  J(feed) is the feed alone when the feed is adjacent to
     every other vertex of P; otherwise it is the K(xi) holding the feed
     among k_of_xi(), the K(xi) sets of d[P] in d's labels, which is called
-    at most once and only then.  weights are integer vertex weights, None
-    for unit weights.  The step compares w(N+(feed) \\ J) with w(good \\ J)
-    inside P: a strict inequality ends the run (stable), equality moves the
-    bad vertices outside J to the front, then J, then the rest, each in
-    order, and a repeated order ends it (periodic).
+    at most once and only then.  classes are the integer weight classes of
+    `_weight_classes`, and a vertex set weighs one popcount per class.
+    The step compares w(N+(feed) \\ J) with w(good \\ J) inside P: a
+    strict inequality ends the run (stable), equality moves the bad
+    vertices outside J to the front, then J, then the rest, each in order,
+    and a repeated order ends it (periodic).
     """
     if not order:
         raise ValueError("cannot analyze an empty order")
     p = set_to_mask(order)
     out = d.out_mask
-    weigh = int.bit_count if weights is None else (
-        lambda m: sum(weights[v] for v in mask_to_set(m))
-    )
     k_masks = None
     orders = [order]
     seen = {order: 0}
@@ -898,7 +897,11 @@ def sediment_within(
             j = next(k for k in k_masks if k >> f & 1)
         bads.append(bad)
         js.append(j)
-        balance = weigh(out_f & ~j) - weigh(good & ~j)
+        gain = out_f & ~j
+        loss = good & ~j
+        balance = 0
+        for wt, m in classes:
+            balance += wt * ((gain & m).bit_count() - (loss & m).bit_count())
         if balance < 0:
             return SedimentationRun(orders, SedOutcome("stable", rank=q), bads, js)
         if balance > 0:

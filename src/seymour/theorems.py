@@ -532,9 +532,10 @@ def _second_witness(
         sub, mapping = d.induced(prefix)
         return [tuple(mapping[i] for i in k) for k in Analysis(sub).ci.k_of_xi]
 
-    run = sediment_within(
-        d, prefix, None, default_sediment_budget(len(prefix)), prefix_k_of_xi
-    )
+    # unit weights: one class holding the prefix
+    unit = [(1, set_to_mask(prefix))]
+    budget = default_sediment_budget(len(prefix))
+    run = sediment_within(d, prefix, unit, budget, prefix_k_of_xi)
     outcome = run.outcome
     if outcome.kind == "stable":
         chosen = len(run.orders) - 1

@@ -53,7 +53,9 @@ def test_parse_errors():
 def test_a_weight_numeral_is_bounded():
     longest = "1/" + "7" * (MAX_WEIGHT_CHARS - 2)
     assert parse_instance(f"1 0\nw 0 {longest}\n")[1][0] == Fraction(longest)
-    for numeral in ("1e9999", "1E3", "2" + longest, "1_000", "0x10"):
+    for numeral, value in (("1.", 1), (".5", Fraction(1, 2)), ("+2.25", Fraction(9, 4))):
+        assert parse_instance(f"1 0\nw 0 {numeral}\n")[1][0] == value
+    for numeral in ("1e9999", "1E3", "2" + longest, "1_000", "0x10", ".", "1/", "1.5/2"):
         with pytest.raises(ParseError, match=f"at most {MAX_WEIGHT_CHARS} characters"):
             parse_instance(f"1 0\nw 0 {numeral}\n")
 
