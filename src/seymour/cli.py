@@ -17,8 +17,9 @@ through the same `_add_timed`, the one place that reads the clock.
 Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
 or any other internal fault, 2 = usage or parse error (including an
 instance-spec key its kind does not read, an instance file or stdin that
-cannot be read or is not UTF-8 text, and an --out path that cannot be
-written).
+cannot be read or is not UTF-8 text, an --out path that cannot be
+written, and a median order of more vertices than the local repair's
+cap MAX_LOCAL_N).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from typing import Callable
 from . import forge
 from .dependency import Analysis, good_edges
 from .digraph import Digraph, Weighting
-from .errors import HypothesisFailedError, ParseError, SeymourError
+from .errors import ExactBoundExceededError, HypothesisFailedError, ParseError, SeymourError
 from .instfile import emit_instance, parse_instance
 from .orders import (
+    DEFAULT_EXACT_CAP,
     MAX_EXACT_CAP,
     analyze,
     exact_median_order,
@@ -354,8 +356,11 @@ def cmd_gen(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--cap-exact", type=int, default=_env_default("cap_exact", 15),
-        help=f"max n for the exact median solver (default 15, at most {MAX_EXACT_CAP})",
+        "--cap-exact", type=int, default=_env_default("cap_exact", DEFAULT_EXACT_CAP),
+        help=(
+            f"max n for the exact median solver (default {DEFAULT_EXACT_CAP}, "
+            f"at most {MAX_EXACT_CAP})"
+        ),
     )
     common.add_argument(
         "--seed", type=int, default=_env_default("seed", 0),
@@ -451,7 +456,8 @@ def main(argv=None) -> int:
         if isinstance(result, int):
             return result
         _write(emit_report(result, args.format), args.out)
-    except (ParseError, UsageError) as exc:
+    # a size cap reaching here is `median`'s local repair cap
+    except (ParseError, UsageError, ExactBoundExceededError) as exc:
         print(f"seymour: {exc}", file=sys.stderr)
         return 2
     except (SeymourError, ValueError) as exc:

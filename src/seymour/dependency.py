@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .digraph import Digraph, VertexSet, set_to_mask
+from .digraph import Digraph, VertexSet
 from .errors import NotDisjointStarsError
 from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
 
@@ -120,9 +120,6 @@ class DependencyDigraph:
             return None
         return min(self.min_out_degree, self.min_in_degree)
 
-    def successors(self, e) -> tuple[Edge, ...]:
-        return self.succ[frozenset(e)]
-
 
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
     pairs = d.missing_pairs()
@@ -163,7 +160,7 @@ def propagate_roles(
     queue = list(roles)
     # the loop also visits the edges appended to the queue while it runs
     for e in queue:
-        for e2 in dd.successors(e):
+        for e2 in dd.succ[e]:
             if e2 not in roles:
                 roles[e2] = losing_roles(d, e, e2, roles[e][0])
                 queue.append(e2)
@@ -273,13 +270,11 @@ def component_index(d: Digraph) -> ComponentIndex:
     k_sets = tuple(
         tuple(sorted({v for e in comp for v in e})) for comp in components
     )
-    k_masks = [set_to_mask(k) for k in k_sets]
-    # interval graph: components adjacent when K-sets intersect
-    m = len(components)
-    overlaps = [
-        (i, j) for i in range(m) for j in range(i + 1, m) if k_masks[i] & k_masks[j]
-    ]
-    xi_groups = tuple(sorted(tuple(g) for g in _groups(range(m), overlaps)))
+    # interval graph: components adjacent when K-sets intersect, joined in
+    # linear time by linking each to the first component holding each vertex
+    first: dict[int, int] = {}
+    links = [(first.setdefault(v, i), i) for i, k in enumerate(k_sets) for v in k]
+    xi_groups = tuple(sorted(tuple(g) for g in _groups(range(len(components)), links)))
     k_of_xi = tuple(
         tuple(sorted({v for ci in g for v in k_sets[ci]})) for g in xi_groups
     )

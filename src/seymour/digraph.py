@@ -109,41 +109,34 @@ class Digraph:
 
     # -- neighborhoods ----------------------------------------------------
 
-    def neighbors(self, v: int, direction: str = "out") -> VertexSet:
-        """First out- or in-neighborhood of v."""
+    def neighbors(self, v: int) -> VertexSet:
+        """First out-neighborhood of v."""
         self._check(v)
-        return mask_to_set(self._dir_masks(direction)[v])
+        return mask_to_set(self._out[v])
 
-    def second_mask(self, v: int, direction: str = "out") -> int:
-        masks = self._dir_masks(direction)
-        first = masks[v]
+    def second_mask(self, v: int) -> int:
+        out = self._out
+        first = out[v]
         reach = 0
         m = first
         while m:
             low = m & -m
-            reach |= masks[low.bit_length() - 1]
+            reach |= out[low.bit_length() - 1]
             m ^= low
         return reach & ~first & ~(1 << v)
 
-    def second_neighborhood(self, v: int, direction: str = "out") -> VertexSet:
-        """Vertices at directed distance exactly two from v (or to v)."""
+    def second_neighborhood(self, v: int) -> VertexSet:
+        """Vertices at directed distance exactly two from v."""
         self._check(v)
-        return mask_to_set(self.second_mask(v, direction))
+        return mask_to_set(self.second_mask(v))
 
-    def _dir_masks(self, direction: str) -> tuple[int, ...]:
-        if direction == "out":
-            return self._out
-        if direction == "in":
-            return self._in
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-
-    def degree(self, v: int, direction: str = "out") -> int:
+    def degree(self, v: int) -> int:
         self._check(v)
-        return self._dir_masks(direction)[v].bit_count()
+        return self._out[v].bit_count()
 
-    def second_degree(self, v: int, direction: str = "out") -> int:
+    def second_degree(self, v: int) -> int:
         self._check(v)
-        return self.second_mask(v, direction).bit_count()
+        return self.second_mask(v).bit_count()
 
     # -- global structure --------------------------------------------------
 

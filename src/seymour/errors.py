@@ -26,7 +26,8 @@ class NotGoodDigraphError(SeymourError, ValueError):
 
 
 class ExactBoundExceededError(SeymourError, ValueError):
-    """The exact solver was asked for more vertices than its cap allows."""
+    """A solver was asked for more vertices than its cap allows: the exact
+    solver's cap, or the local repair's MAX_LOCAL_N."""
 
 
 class UnrealizableError(SeymourError, ValueError):
@@ -48,10 +49,6 @@ class HypothesisFailedError(SeymourError, ValueError):
 
 class ConsistencyError(SeymourError, RuntimeError):
     """A runtime check of a proved statement failed; indicates a bug or bad input."""
-
-
-class GoodnessViolationError(ConsistencyError):
-    """A digraph expected to be good (all K(xi) intervals) is not."""
 
 
 class ParseError(SeymourError, ValueError):

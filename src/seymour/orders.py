@@ -14,9 +14,10 @@ where neighborhood weights are vertex-set weights inside the interval.
 One scan finds the first violation; `satisfies_feedback` reports it and
 `local_median_order` repairs it.  Both build signed rows once per call,
 rows[v][u] = w(u) if v -> u, -w(u) if u -> v and 0 otherwise (n * n
-integers), so each row of the scan is one running sum (`accumulate`)
-over a slice of the order, with a `max` or `min` deciding whether it is
-searched.  Each repair move rescans and re-checks the whole order.
+integers, so both refuse more than MAX_LOCAL_N vertices), so each row of
+the scan is one running sum (`accumulate`) over a slice of the order,
+with a `max` or `min` deciding whether it is searched.  Each repair move
+rescans and re-checks the whole order.
 
 Every kernel reads the weights as integers over one common denominator,
 which orders every sum exactly as the rational weights do.  A `Weighting`
@@ -32,6 +33,11 @@ they take its `Analysis` and read J(feed), goodness and the K(xi) blocks
 from its component index: `good_median_order(Analysis(d))`,
 `sediment(Analysis(d), order)`, `sed(a, order)`.  In the library only
 `Analysis` builds a component index, and J of a whole feed reads none.
+One mask helper, `_feed_split`, splits an order at its feed into
+N+(feed), the good vertices and the bad ones: `analyze` returns that
+split as sorted tuples, and every sedimentation step reads it.  The
+kernels read a `Digraph`'s out- and in-masks directly; its neighborhood
+queries (`neighbors`, `degree`, ...) count out-arcs only.
 Every sedimentation step runs in one loop, `sediment_within`, on d's
 out-masks in d's labels over the vertex set P of the order: `sediment`
 runs it with P = V, and the second-witness argument of the theorems with
@@ -129,6 +135,12 @@ LinearOrder = tuple[int, ...]
 DEFAULT_EXACT_CAP = 15
 # hard ceiling on any cap: the DP keeps several lists of 2**n entries
 MAX_EXACT_CAP = 20
+# Vertex cap of the local repair, whose signed rows hold n * n integers:
+# `seymour median "random-tournament n=N seed=3"` took 2.2 s and 26 MB at
+# N = 200, 21 s and 36 MB at 400 and 217 s and 76 MB at 800, and an arcless
+# digraph (no move) peaked at 31 MB at n = 1,000 and 54 MB at 2,000
+# (Python 3.11, one process).
+MAX_LOCAL_N = 1000
 # Below this many vertices a _median_dp call with equal positive weights and
 # no tiebreak pulls the forward-arc count from the whole table, and the
 # exact solve does not split tournaments into strong components; every
@@ -605,8 +617,13 @@ def _signed_rows(d: Digraph, weights: Sequence[int]) -> list[list[int]]:
     """rows[v][u] = w(u) if v -> u, -w(u) if u -> v, and 0 otherwise.
 
     Summed over the vertices of an interval, row v gives
-    w(N+(v)) - w(N-(v)) inside it.  The rows hold n * n integers.
+    w(N+(v)) - w(N-(v)) inside it.  The rows hold n * n integers, so more
+    than MAX_LOCAL_N vertices raise ExactBoundExceededError first.
     """
+    if d.n > MAX_LOCAL_N:
+        raise ExactBoundExceededError(
+            f"local median repair capped at {MAX_LOCAL_N} vertices, got {d.n}"
+        )
     rows = []
     for v in range(d.n):
         out_m, in_m = d.out_mask(v), d.in_mask(v)
@@ -756,29 +773,29 @@ class OrderAnalysis:
     bad: VertexSet
 
 
+def _feed_split(d: Digraph, order: Sequence[int], p: int) -> tuple[int, int, int]:
+    """(N+(feed) & P, good, bad) of an order of the vertex mask P, as masks,
+    with good and bad as in `OrderAnalysis`: the one feed split."""
+    out = d.out_mask
+    out_f = out(order[-1]) & p
+    reach = good = bad = 0
+    for u in order[:-1]:
+        bit = 1 << u
+        if out_f & bit:
+            reach |= out(u)
+        elif reach & bit:
+            good |= bit
+        else:
+            bad |= bit
+    return out_f, good, bad
+
+
 def analyze(d: Digraph, order: Sequence[int]) -> OrderAnalysis:
     order = _check_order(d, order)
     if not order:
         raise ValueError("cannot analyze an empty order")
-    f = order[-1]
-    out_mask = d.out_mask(f)
-    reach = 0
-    good = []
-    bad = []
-    for u in order[:-1]:
-        if out_mask >> u & 1:
-            reach |= d.out_mask(u)
-        elif reach >> u & 1:
-            good.append(u)
-        else:
-            bad.append(u)
-    return OrderAnalysis(
-        order=order,
-        feed=f,
-        out_of_feed=mask_to_set(out_mask),
-        good=tuple(sorted(good)),
-        bad=tuple(sorted(bad)),
-    )
+    split = _feed_split(d, order, (1 << d.n) - 1)
+    return OrderAnalysis(order, order[-1], *map(mask_to_set, split))
 
 
 def sed(a: Analysis, order: Sequence[int], w: Weighting | None = None) -> LinearOrder:
@@ -869,7 +886,6 @@ def sediment_within(
     if not order:
         raise ValueError("cannot analyze an empty order")
     p = set_to_mask(order)
-    out = d.out_mask
     k_masks = None
     orders = [order]
     seen = {order: 0}
@@ -878,16 +894,7 @@ def sediment_within(
     for q in range(budget):
         cur = orders[-1]
         f = cur[-1]
-        out_f = out(f) & p
-        reach = good = bad = 0
-        for u in cur[:-1]:
-            bit = 1 << u
-            if out_f & bit:
-                reach |= out(u)
-            elif reach & bit:
-                good |= bit
-            else:
-                bad |= bit
+        out_f, good, bad = _feed_split(d, cur, p)
         if (out_f | d.in_mask(f)) & p == p ^ 1 << f:
             j = 1 << f
         else:
@@ -962,11 +969,7 @@ def good_median_order(
     q_masks = _local_in_masks(in_masks, [b[0] for b in blocks])
     if sum(m.bit_count() for m in q_masks) != len(blocks) * (len(blocks) - 1) // 2:
         raise ConsistencyError("quotient of a good digraph should be a tournament")
-    limit = min(cap, MAX_EXACT_CAP)
-    if len(blocks) > limit:
-        raise ExactBoundExceededError(
-            f"quotient has {len(blocks)} blocks, exact cap is {limit}"
-        )
+    _check_exact_cap(len(blocks), cap)
     q_weights = [sum(weights[v] for v in b) for b in blocks]
     block_order = _median_solve(q_masks, q_weights, 0)[0]
 
@@ -979,17 +982,14 @@ def good_median_order(
         if len(members) == 1:
             result.append(members[0])
             continue
-        if len(members) > limit:
-            raise ExactBoundExceededError(
-                f"block of size {len(members)} exceeds exact cap {limit}"
-            )
+        _check_exact_cap(len(members), cap)
         local, solved[members], _ = _median_solve(
             _local_in_masks(in_masks, members), [weights[v] for v in members], 0
         )
         result.extend(members[i] for i in local)
 
     order = tuple(result)
-    if d.n <= limit:
+    if d.n <= min(cap, MAX_EXACT_CAP):
         if _masks_forward_weight(in_masks, weights, order) != _median_value(
             in_masks, weights, order, solved
         ):

@@ -37,17 +37,13 @@ from .dependency import (
 )
 from .orders import (
     DEFAULT_EXACT_CAP,
-    analyze,
+    _feed_split,
     default_sediment_budget,
     exact_median_order,
     good_median_order,
     sediment_within,
 )
-from .errors import (
-    ConsistencyError,
-    GoodnessViolationError,
-    HypothesisFailedError,
-)
+from .errors import ConsistencyError, HypothesisFailedError
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +610,14 @@ def _two_witnesses(
     """The common end of the matching, two-stars and three-stars two-witness
     procedures when the stars do not cover V(D).
 
-    D must be good; the feed of a good median order is the first witness.
+    D must be good, which `good_median_order` checks; the feed of a good
+    median order is the first witness.
     When J(feed) is a K(xi) the witnesses are the first two contenders of
     the interval, else the second comes from sedimenting the prefix.
     inner orders the contenders of both branches; interval_note ends the
     interval branch's trace line.
     """
-    d, theorem_id = a.d, gate.theorem_id
-    if not a.goodness.is_good:
-        bad = [k for k, ok in a.goodness.verdicts if not ok]
-        raise GoodnessViolationError(f"{theorem_id}: D should be good, K(xi) {bad}")
+    d = a.d
     order = good_median_order(a, cap=cap)
     xn = order[-1]
     trace.append(f"good median order {list(order)}")
@@ -767,8 +761,8 @@ def _star_interval_witness(
         f"K(xi) {list(kset)}; interval median order "
         f"{[mapping[i] for i in res.order]} (index of {x} maximal)"
     ]
-    ana = analyze(t, res.order)
-    if g != x and inv[x] not in ana.bad and t.degree(res.order[-1]) == len(ana.good):
+    out_f, good, bad = _feed_split(t, res.order, (1 << t.n) - 1)
+    if g != x and not bad >> inv[x] & 1 and out_f.bit_count() == good.bit_count():
         raise ConsistencyError(
             f"sedimentation would move the center {x} later in an order "
             "that maximizes its index"
@@ -787,9 +781,6 @@ def star_matching_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertif
     d_prime = d.with_arcs(add=f_arcs)
     trace.append(f"F has {len(f_arcs)} arc(s)")
     a_prime = Analysis(d_prime)
-    if not a_prime.goodness.is_good:
-        bad = [k for k, ok in a_prime.goodness.verdicts if not ok]
-        raise GoodnessViolationError(f"D+F is not good: non-interval K(xi) {bad}")
     order = good_median_order(a_prime, cap=cap)
     f = order[-1]
     trace.append(f"good median order of D+F: {list(order)}")

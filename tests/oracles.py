@@ -7,21 +7,16 @@ from typing import Sequence
 from seymour.dependency import Analysis, j_of
 from seymour.digraph import Digraph, Weighting, resolve_weights
 from seymour.errors import ConsistencyError
-from seymour.orders import (
-    SedimentationTrace,
-    SedOutcome,
-    analyze,
-    default_sediment_budget,
-)
+from seymour.orders import SedimentationTrace, SedOutcome, default_sediment_budget
 from seymour.stars import Star, StarDecomposition
 
 
 def brute_second_out(d: Digraph, v: int) -> tuple[int, ...]:
     """Vertices at directed distance exactly two from v, by BFS."""
-    first = set(d.neighbors(v, "out"))
+    first = set(d.neighbors(v))
     second = set()
     for u in first:
-        second.update(d.neighbors(u, "out"))
+        second.update(d.neighbors(u))
     return tuple(sorted(second - first - {v}))
 
 
@@ -126,7 +121,7 @@ def brute_median_value(d: Digraph, w: Weighting | None = None) -> Fraction:
 
 def brute_has_snp(d: Digraph, v: int, w: Weighting | None = None) -> bool:
     ws = resolve_weights(d, w)
-    first = d.neighbors(v, "out")
+    first = d.neighbors(v)
     second = brute_second_out(d, v)
     return sum(ws[u] for u in first) <= sum(ws[u] for u in second)
 
@@ -142,13 +137,13 @@ def brute_convenient(d: Digraph, a: int, b: int) -> bool:
         if v in (a, b):
             continue
         if d.has_arc(v, a):
-            if b not in d.neighbors(v, "out") and b not in brute_second_out(d, v):
+            if b not in d.neighbors(v) and b not in brute_second_out(d, v):
                 return False
     return True
 
 
 def brute_is_king(t: Digraph, v: int) -> bool:
-    reach = {v} | set(t.neighbors(v, "out")) | set(brute_second_out(t, v))
+    reach = {v} | set(t.neighbors(v)) | set(brute_second_out(t, v))
     return len(reach) == t.n
 
 
@@ -374,11 +369,39 @@ def scalar_local_median_order(
         current = new
 
 
+def brute_feed_split(d: Digraph, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """(N+(feed), good, bad) of an order from the definition, as sorted tuples.
+
+    A vertex v_j before the feed and outside N+(feed) is good when some
+    out-neighbor v_i of the feed with i < j has an arc to v_j.
+    """
+    outs = d.neighbors(order[-1])
+    good, bad = [], []
+    for j, v in enumerate(order[:-1]):
+        if v in outs:
+            continue
+        if any(u in outs and d.has_arc(u, v) for u in order[:j]):
+            good.append(v)
+        else:
+            bad.append(v)
+    return outs, tuple(sorted(good)), tuple(sorted(bad))
+
+
+def pairwise_xi_groups(k_sets: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Groups of K-set indices joined by intersecting K-sets, found by
+    testing every pair: the reference for `dependency.component_index`."""
+    groups: list[set[int]] = []
+    for i, k in enumerate(k_sets):
+        hit = [g for g in groups if any(set(k_sets[j]) & set(k) for j in g)]
+        groups = [g for g in groups if g not in hit] + [{i}.union(*hit)]
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
 def reference_sediment(
     a: Analysis, order: Sequence[int], w: Weighting | None = None, budget: int | None = None
 ) -> SedimentationTrace:
-    """Sedimentation by `analyze` and `j_of` on a.d, one step at a time:
-    the reference for `orders.sediment_within` with P = V."""
+    """Sedimentation by `brute_feed_split` and `j_of` on a.d, one step at a
+    time: the reference for `orders.sediment_within` with P = V."""
     order = tuple(order)
     weights = resolve_weights(a.d, w).ints
     if budget is None:
@@ -386,10 +409,10 @@ def reference_sediment(
     orders = [order]
     seen = {order: 0}
     for q in range(budget):
-        ana = analyze(a.d, orders[-1])
-        jset = set(j_of(a, ana.feed))
-        balance = sum(weights[v] for v in ana.out_of_feed if v not in jset) - sum(
-            weights[v] for v in ana.good if v not in jset
+        out_of_feed, good, bad = brute_feed_split(a.d, orders[-1])
+        jset = set(j_of(a, orders[-1][-1]))
+        balance = sum(weights[v] for v in out_of_feed if v not in jset) - sum(
+            weights[v] for v in good if v not in jset
         )
         if balance < 0:
             return SedimentationTrace(tuple(orders), SedOutcome("stable", rank=q))
@@ -397,7 +420,7 @@ def reference_sediment(
             raise ConsistencyError(
                 "w(N+(feed) \\ J) exceeds w(good \\ J); the input is not a good median order"
             )
-        bad = set(ana.bad) - jset
+        bad = set(bad) - jset
         cur = orders[-1]
         nxt = tuple(
             [v for v in cur if v in bad]
@@ -433,7 +456,7 @@ def reference_second_witness(d: Digraph, order: Sequence[int], candidates) -> tu
         cycle = run.orders[outcome.cycle_start :]
         outs = d.neighbors(first)
         for q, cand in enumerate(cycle):
-            bad = set(analyze(sub, cand).bad)
+            bad = set(brute_feed_split(sub, cand)[2])
             hit = [u for u in outs if inv[u] in bad]
             if hit:
                 chosen = cand

@@ -9,6 +9,7 @@ from seymour.digraph import Digraph, Weighting
 from seymour.errors import ConsistencyError
 from seymour.forge import fixture
 from seymour.instfile import emit_instance
+from seymour.orders import MAX_LOCAL_N
 from seymour.reporting import InstanceRecord, Report, emit_report
 from seymour.theorems import THEOREMS
 
@@ -80,6 +81,15 @@ def test_median_above_the_exact_cap_takes_the_local_path(capsys):
     assert rec["detail"]["value"] is None
     assert rec["detail"]["feedback"] is True
     assert sorted(rec["detail"]["order"]) == list(range(9))
+
+
+def test_median_above_the_local_cap_exits_two(monkeypatch, capsys):
+    n = MAX_LOCAL_N + 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{n} 0\n"))
+    assert main(["median", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capped at {MAX_LOCAL_N} vertices, got {n}" in captured.err
 
 
 def test_cap_exact_at_the_ceiling_is_accepted(capsys):

@@ -17,10 +17,16 @@ from seymour.dependency import (
     strong_dependency_check,
 )
 from seymour.digraph import Digraph
-from seymour.forge import fixture, random_digraph, random_star_deleted, random_tournament
+from seymour.forge import (
+    fixture,
+    losing_cycle_gadget,
+    random_digraph,
+    random_star_deleted,
+    random_tournament,
+)
 from seymour.stars import convenient_orientations, edge, edge_pair
 
-from oracles import brute_dependency_arcs, brute_losing
+from oracles import brute_dependency_arcs, brute_losing, pairwise_xi_groups
 
 
 def test_loses_to_c4x_examples():
@@ -109,7 +115,9 @@ def test_propagate_roles_labels_every_reachable_edge():
 
 
 def test_dependency_digraph_examples():
-    assert dependency_digraph(fixture("C3")).edges == ()
+    dd = dependency_digraph(fixture("C3"))
+    assert dd.edges == ()
+    assert dd.min_out_degree is dd.min_in_degree is dd.min_degree is None
 
     dd = dependency_digraph(fixture("C4X"))
     assert set(dd.edges) == {edge(0, 2), edge(1, 3)}
@@ -241,6 +249,36 @@ def test_distinct_k_xi_are_disjoint(seed, n):
     for k in ci.k_of_xi:
         assert not seen & set(k)
         seen |= set(k)
+
+
+def _xi_inputs():
+    """Star-deleted digraphs, losing-cycle gadgets and arcless digraphs, n <= 12."""
+    for seed in range(60):
+        for n in (4, 8, 12):
+            yield random_star_deleted(n, seed)
+    for k in range(2, 7):
+        yield losing_cycle_gadget(k)
+    for n in range(13):
+        yield Digraph(n)
+
+
+def test_xi_groups_match_the_pairwise_grouping():
+    groups = Counter()
+    for d in _xi_inputs():
+        ci = component_index(d)
+        assert ci.xi_groups == pairwise_xi_groups(ci.k_sets)
+        assert ci.k_of_xi == tuple(
+            tuple(sorted({v for i in g for v in ci.k_sets[i]})) for g in ci.xi_groups
+        )
+        groups[max(map(len, ci.xi_groups), default=0) > 1] += 1
+    # groups of several components and groups of one both occur
+    assert groups[True] and groups[False]
+
+
+def test_xi_groups_of_a_large_arcless_digraph():
+    # 150 vertices miss 11,175 edges, each its own component, all in one group
+    ci = component_index(Digraph(150))
+    assert len(ci.components) == 11_175 and ci.k_of_xi == (tuple(range(150)),)
 
 
 def _brute_is_path(comp, arcs) -> bool:

@@ -83,6 +83,30 @@ def test_delete_disjoint_stars_rejects_overlap():
         delete_disjoint_stars(t, [(0, (1,)), (1, (2,))])
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: random_digraph(3, 0, 1.5), "density", id="density-above-1"),
+        pytest.param(lambda: random_digraph(3, 0, -0.1), "density", id="density-below-0"),
+        pytest.param(lambda: all_kings_tournament(0), "positive", id="kings-n0"),
+        pytest.param(lambda: all_kings_tournament(-1), "positive", id="kings-n-1"),
+        pytest.param(
+            lambda: delete_disjoint_stars(fixture("C4X"), [(0, (2,))]),
+            "expects a tournament",
+            id="stars-off-a-tournament",
+        ),
+        pytest.param(lambda: random_star_deleted(3, 0, [3]), "cannot host", id="star-too-big"),
+        pytest.param(lambda: random_star_deleted(6, 0, [2, 3]), "cannot host", id="stars-too-big"),
+        pytest.param(lambda: losing_cycle_gadget(1), "k >= 2", id="gadget-k1"),
+        pytest.param(lambda: filtered_search("nope", 6, 0), "unknown predicate", id="predicate"),
+        pytest.param(lambda: InstanceSpec.parse([]), "empty instance spec", id="empty-spec"),
+    ],
+)
+def test_forge_refuses_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_losing_cycle_gadget_matches_lc3():
     assert losing_cycle_gadget(3) == fixture("LC3")
 
@@ -119,7 +143,7 @@ def test_filtered_search_instances_pass_their_gate():
     for predicate in SEARCH_PREDICATES:
         res = filtered_search(predicate, 9, 0, budget=120, count=8)
         assert res.instances, predicate
-        assert 0 < res.acceptance_rate <= 1
+        assert len(res.instances) <= res.attempts
         for d in res.instances:
             assert _GATES[predicate](Analysis(d)).applicable
     with pytest.raises(ValueError, match="floor 6"):

@@ -43,6 +43,14 @@ def test_parse_errors():
         ("3 1\n0 1\nw 9 1/2\n", "range"),
         ("3 1\n0 1\nw 0 0\n", "positive"),
         ("3 1\nw 0 1/2\n0 1\n", "before all"),
+        ("a 1\n", "header"),
+        ("-1 0\n", "nonnegative"),
+        ("3 -1\n", "nonnegative"),
+        ("1 0\nw 0\n", "expected weight line"),
+        ("1 0\nw x 1\n", "expected weight line"),
+        ("1 0\nw 0 1/0\n", "expected weight line"),
+        ("3 1\n0 1 2\n", "expected arc line"),
+        ("3 1\n0 x\n", "expected arc line"),
     ]
     for text, hint in cases:
         with pytest.raises(ParseError) as exc:
@@ -58,6 +66,23 @@ def test_a_weight_numeral_is_bounded():
     for numeral in ("1e9999", "1E3", "2" + longest, "1_000", "0x10", ".", "1/", "1.5/2"):
         with pytest.raises(ParseError, match=f"at most {MAX_WEIGHT_CHARS} characters"):
             parse_instance(f"1 0\nw 0 {numeral}\n")
+
+
+# tokens of at most three characters keep every vertex count below 1,000
+_TOKENS = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.sampled_from(["w", "#", "1/2", "1/0", ".5", "1e9", "x", "0.0"]),
+    st.text(max_size=3),
+)
+
+
+@given(st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        parse_instance(text)
+    except ParseError:
+        pass
 
 
 @given(st.integers(0, 300), st.integers(1, 10), st.booleans())

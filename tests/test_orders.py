@@ -40,6 +40,7 @@ from seymour.orders import (
 )
 
 from oracles import (
+    brute_feed_split,
     brute_first_violation,
     brute_forward_weight,
     brute_median_value,
@@ -152,6 +153,30 @@ def test_exact_median_refuses_more_than_the_ceiling():
             exact_median_order(d, tiebreak=[0], cap=cap)
 
 
+def test_good_median_order_applies_the_exact_cap_to_the_quotient_and_each_block():
+    # five singleton blocks
+    with pytest.raises(ExactBoundExceededError, match="capped at 4 vertices, got 5"):
+        good_median_order(Analysis(random_tournament(5, 0)), cap=4)
+    # one block of six vertices
+    with pytest.raises(ExactBoundExceededError, match="capped at 4 vertices, got 6"):
+        good_median_order(Analysis(losing_cycle_gadget(3)), cap=4)
+
+
+def test_the_local_repair_refuses_more_than_its_vertex_cap(monkeypatch):
+    # an arcless digraph needs no repair move, so the cap is the only limit
+    n = orders.MAX_LOCAL_N + 1
+    d = Digraph(n)
+    for check in (local_median_order, satisfies_feedback):
+        with pytest.raises(
+            ExactBoundExceededError, match=f"capped at {orders.MAX_LOCAL_N} vertices, got {n}"
+        ):
+            check(d, range(n))
+    monkeypatch.setattr(orders, "MAX_LOCAL_N", 5)
+    assert local_median_order(Digraph(5), range(5)) == (0, 1, 2, 3, 4)
+    with pytest.raises(ExactBoundExceededError, match="capped at 5 vertices, got 6"):
+        local_median_order(Digraph(6), range(6))
+
+
 def test_feedback_examples():
     assert satisfies_feedback(fixture("TT3"), (0, 1, 2)).ok
     rep = satisfies_feedback(fixture("TT3"), (2, 1, 0))
@@ -176,6 +201,19 @@ def test_analyze_examples():
     ana = analyze(fixture("TT3"), (0, 1, 2))
     assert ana.feed == 2 and ana.out_of_feed == ()
     assert ana.good == () and ana.bad == (0, 1)
+
+    with pytest.raises(ValueError, match="empty order"):
+        analyze(Digraph(0), ())
+
+
+@given(st.integers(0, 10_000), st.integers(1, 8), st.sampled_from([0.5, 0.8, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_analyze_matches_the_definition(seed, n, density):
+    d = random_digraph(n, seed, density)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    ana = analyze(d, order)
+    assert (ana.out_of_feed, ana.good, ana.bad) == brute_feed_split(d, order)
 
 
 def test_sed_examples():
@@ -440,7 +478,7 @@ def test_lemma1_style_inequality_on_good_instances(seed, n):
     jset = set(j_of(a, ana.feed))
     bound = ws.total(set(ana.good) - jset)
     for x in jset:
-        assert ws.total(set(d.neighbors(x, "out")) - jset) <= bound
+        assert ws.total(set(d.neighbors(x)) - jset) <= bound
 
 
 @st.composite
