@@ -257,6 +257,9 @@ def _prove(theorem_id: str, d: Digraph, w: Weighting | None, cap: int) -> Outcom
     except HypothesisFailedError as exc:
         status, findings = GATED, ()
         detail = {"theorem": theorem_id, "clause": exc.clause, "evidence": exc.evidence}
+    except ExactBoundExceededError:
+        # an instance above --cap-exact is a usage error: main exits 2
+        raise
     except SeymourError as exc:
         status, findings = FAILED, ()
         detail = {"theorem": theorem_id, "error": f"{type(exc).__name__}: {exc}"}
@@ -456,7 +459,8 @@ def main(argv=None) -> int:
         if isinstance(result, int):
             return result
         _write(emit_report(result, args.format), args.out)
-    # a size cap reaching here is `median`'s local repair cap
+    # a size cap reaching here is --cap-exact under `verify` or a filtered
+    # sweep, or `median`'s local repair cap
     except (ParseError, UsageError, ExactBoundExceededError) as exc:
         print(f"seymour: {exc}", file=sys.stderr)
         return 2

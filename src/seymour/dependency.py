@@ -1,8 +1,11 @@
 """The losing relation between missing edges and its derived structure.
 
 Missing edge x1y1 loses to missing edge x2y2 when, for some labeling of the
-endpoints, x1 -> x2 with y2 outside N+(x1) and N++(x1), and y1 -> y2 with
-x2 outside N+(y1) and N++(y1).  _role_masks is the one statement of this
+endpoints, x1 -> x2 with y1 reaching x2 in neither one nor two steps, and
+y1 -> y2 with x1 reaching y2 in neither one nor two steps.  As x1 -> x2 and
+x1y1 is missing, the first half says x2 is in N+(x1) minus N+(y1) and no
+out-neighbor of y1 is an in-neighbor of x2; the second half is the same
+with the roles swapped.  _role_masks is the one statement of this
 condition: for e1 = (t, y) it gives the masks of the vertices that may play
 x2 and y2, and e1 loses to e2 = {r, s} exactly when one endpoint of e2 is
 in the first mask and the other in the second.  dependency_digraph tests
@@ -15,10 +18,10 @@ digraph has the missing edges as vertices and one arc per losing pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, reduce
+from operator import or_
 
-from .digraph import Digraph, VertexSet
+from .digraph import Digraph, VertexSet, mask_to_set, set_to_mask
 from .errors import NotDisjointStarsError
 from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
 
@@ -33,21 +36,35 @@ class LosingWitness:
     y2: int
 
 
-def _reach(d: Digraph, v: int) -> int:
-    """R(v) = N+(v) | N++(v) as a mask."""
-    return d.out_mask(v) | d.second_mask(v)
+def _unreached(d: Digraph, t: int, y: int) -> int:
+    """The mask of the x in N+(t) minus N+(y) with N+(y) and N-(x) disjoint:
+    the out-neighbors of t that y reaches in neither one nor two steps.
+    Each out-neighbor f of y strikes N+(f), and the loop stops once no
+    candidate is left."""
+    out = d.out_mask
+    m = out(y)
+    keep = out(t) & ~m
+    while m and keep:
+        low = m & -m
+        keep &= ~out(low.bit_length() - 1)
+        m ^= low
+    return keep
 
 
-def _role_masks(d: Digraph, t: int, y: int, reach_t: int, reach_y: int) -> tuple[int, int]:
+def _role_masks(d: Digraph, t: int, y: int) -> tuple[int, int]:
     """Masks (xs, ys) of the candidates for x2 and y2 when x1 = t and y1 = y.
 
-    xs = N+(t) minus R(y) and ys = N+(y) minus R(t), given R(t) = reach_t
-    and R(y) = reach_y.  e1 = {t, y} loses to e2 = {r, s} with roles
+    xs holds the x in N+(t) minus N+(y) such that no out-neighbor of y is
+    an in-neighbor of x: the out-neighbors of t that y reaches in neither
+    one nor two steps (x is never y, as ty is missing).  ys is the same
+    with t and y swapped, and 0 when xs is, as no role pair can then
+    exist.  e1 = {t, y} loses to e2 = {r, s} with roles
     (x2, y2) = (r, s) exactly when r is in xs and s in ys.  e2 = e1 fails
     this by itself, because t is not in N+(t) (no loops) and neither is y
     (ty is missing), so no caller needs to skip it.
     """
-    return d.out_mask(t) & ~reach_y, d.out_mask(y) & ~reach_t
+    xs = _unreached(d, t, y)
+    return xs, _unreached(d, y, t) if xs else 0
 
 
 def losing_roles(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] | None:
@@ -63,7 +80,7 @@ def losing_roles(d: Digraph, e1: Edge, e2: Edge, tail: int) -> tuple[int, int] |
     r, s = edge_pair(e2)
     for v in (tail, y1, r, s):
         d._check(v)
-    xs, ys = _role_masks(d, tail, y1, _reach(d, tail), _reach(d, y1))
+    xs, ys = _role_masks(d, tail, y1)
     if xs >> r & ys >> s & 1:
         return r, s
     if xs >> s & ys >> r & 1:
@@ -124,12 +141,11 @@ class DependencyDigraph:
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
     pairs = d.missing_pairs()
     edges = tuple(edge(u, v) for u, v in pairs)
-    reach = {v: _reach(d, v) for v in set().union(*pairs)}
     arcs = []
     succ: dict[Edge, list[Edge]] = {e: [] for e in edges}
     pred: dict[Edge, list[Edge]] = {e: [] for e in edges}
     for e1, (t, y) in zip(edges, pairs):
-        xs, ys = _role_masks(d, t, y, reach[t], reach[y])
+        xs, ys = _role_masks(d, t, y)
         if not (xs and ys):
             continue
         out = succ[e1]
@@ -172,9 +188,10 @@ def good_edges(dd: DependencyDigraph) -> tuple[Edge, ...]:
     return tuple(e for e in dd.edges if dd.in_degree(e) == 0)
 
 
-def _groups(items: Sequence, links) -> list[list]:
-    """Connected groups of items joined by links (union-find), in item order."""
-    parent = {x: x for x in items}
+def _groups(n: int, links) -> list[list[int]]:
+    """Connected groups of 0..n-1 joined by links (union-find), each group
+    ascending and the groups by their least member."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -186,16 +203,10 @@ def _groups(items: Sequence, links) -> list[list]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups: dict = {}
-    for x in items:
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return list(groups.values())
-
-
-def _weak_components(dd: DependencyDigraph) -> tuple[tuple[Edge, ...], ...]:
-    comps = [tuple(sorted(g, key=edge_pair)) for g in _groups(dd.edges, dd.arcs)]
-    comps.sort(key=lambda c: edge_pair(c[0]))
-    return tuple(comps)
 
 
 def _reachable(start: Edge, links: dict) -> set[Edge]:
@@ -264,19 +275,27 @@ class ComponentIndex:
 
 
 def component_index(d: Digraph) -> ComponentIndex:
-    """Weak components and K(xi) groups of the dependency digraph of d."""
+    """Weak components and K(xi) groups of the dependency digraph of d.
+
+    Both are grouped on indices into dd.edges, which come in edge_pair
+    order, and _groups keeps item order, so every component, every group
+    and both lists of them come out in that order without a sort.  K-sets
+    are ORs of vertex masks.
+    """
     dd = dependency_digraph(d)
-    components = _weak_components(dd)
-    k_sets = tuple(
-        tuple(sorted({v for e in comp for v in e})) for comp in components
-    )
+    edges = dd.edges
+    index = {e: i for i, e in enumerate(edges)}
+    groups = _groups(len(edges), [(index[a], index[b]) for a, b in dd.arcs])
+    components = tuple(tuple(edges[i] for i in g) for g in groups)
+    masks = [set_to_mask(v for i in g for v in edges[i]) for g in groups]
+    k_sets = tuple(map(mask_to_set, masks))
     # interval graph: components adjacent when K-sets intersect, joined in
     # linear time by linking each to the first component holding each vertex
     first: dict[int, int] = {}
     links = [(first.setdefault(v, i), i) for i, k in enumerate(k_sets) for v in k]
-    xi_groups = tuple(sorted(tuple(g) for g in _groups(range(len(components)), links)))
+    xi_groups = tuple(map(tuple, _groups(len(components), links)))
     k_of_xi = tuple(
-        tuple(sorted({v for ci in g for v in k_sets[ci]})) for g in xi_groups
+        mask_to_set(reduce(or_, [masks[ci] for ci in g])) for g in xi_groups
     )
     return ComponentIndex(dd, components, k_sets, xi_groups, k_of_xi)
 

@@ -11,7 +11,8 @@ from .errors import NotDisjointStarsError
 
 Edge = frozenset  # frozenset({u, v}) naming a missing edge
 
-# center_assignments stops after this many readings (2 per matching edge)
+# center_assignments stops after this many readings (2 per matching edge):
+# with m > 8 matching edges, the first m - 8 stay at their first endpoint
 MAX_READINGS = 256
 
 

@@ -62,23 +62,24 @@ def snp_set(d: Digraph, w: Weighting | None = None) -> VertexSet:
     return tuple(v for v in range(d.n) if has_snp(d, v, w))
 
 
-def _king_within(d: Digraph, v: int, members: int) -> bool:
-    """True when v reaches every vertex of the mask members within two steps
-    inside members: both steps stay in members."""
-    first = d.out_mask(v) & members
-    reach = (1 << v) | first
-    while first:
+def _reaches(outs: Sequence[int], v: int, targets: int, members: int) -> bool:
+    """True when v reaches every vertex of the mask targets within two steps
+    whose middle vertex lies in the mask members; outs[u] is N+(u)."""
+    need = targets & ~outs[v] & ~(1 << v)
+    first = outs[v] & members
+    while need and first:
         low = first & -first
-        reach |= d.out_mask(low.bit_length() - 1)
+        need &= ~outs[low.bit_length() - 1]
         first ^= low
-    return reach & members == members
+    return not need
 
 
 def is_king(t: Digraph, v: int) -> bool:
     """In a tournament: every other vertex is reached in at most two steps."""
     if not t.is_tournament():
         raise ValueError("is_king is defined for tournaments")
-    return _king_within(t, v, (1 << t.n) - 1)
+    full = (1 << t.n) - 1
+    return _reaches([t.out_mask(u) for u in range(t.n)], v, full, full)
 
 
 def all_kings(t: Digraph) -> bool:
@@ -208,12 +209,10 @@ def _gate(
 
 def gate_havet_thomasse(a: Analysis) -> GateResult:
     d = a.d
+    # a pair is missing or holds exactly one arc (no digons)
+    missing = d.n * (d.n - 1) // 2 - d.arc_count
     checks = (
-        HypothesisCheck(
-            "digraph is a tournament",
-            d.is_tournament(),
-            f"{len(d.missing_pairs())} missing pair(s)",
-        ),
+        HypothesisCheck("digraph is a tournament", missing == 0, f"{missing} missing pair(s)"),
     )
     return _gate("havet-thomasse", checks)
 
@@ -223,16 +222,70 @@ def _kings_reading(a: Analysis) -> tuple[Star, ...] | None:
 
     Without missing edges the reading is empty; None when no reading works.
     The centers of different stars are always adjacent, because a missing
-    edge lies inside one star, so they induce a tournament and each reading
+    edge lies inside one star, so they induce a tournament and a reading
     only needs every center to be a king within the center mask.
+
+    The readings are walked depth first in center_assignments' order: the
+    matching edges in turn, each centered at its first endpoint before its
+    second, with the first m - 8 of m > 8 edges kept at their first
+    endpoint (MAX_READINGS = 2 ** 8), so the walk, at most 8 levels deep,
+    covers the same readings and returns the same first one.  A node has
+    chosen the centers C and leaves P, C plus both endpoints of every
+    undecided edge, as the vertices a final center mask may hold.  The
+    node is pruned when some
+    vertex of C fails to reach all of C within two steps inside P: going
+    deeper only adds to C and removes from P, so no reading below it
+    passes.  So every node kept has each vertex of C reaching all of C
+    inside P, and a child (C + c, P - leaf) needs only the pairs that can
+    change: c reaching all of C + c, every old center reaching c, and the
+    old centers with an arc to leaf, whose two-step paths may have run
+    through it, reaching all of C.  At a leaf P = C, and what the walk
+    holds is the all-kings test.
     """
-    if a.dec.component_count() == 0:
+    dec = a.dec
+    if dec.component_count() == 0:
         return ()
-    for stars in center_assignments(a.dec):
-        centers = set_to_mask(s.center for s in stars)
-        if all(_king_within(a.d, s.center, centers) for s in stars):
-            return stars
-    return None
+    d = a.d
+    outs = [d.out_mask(v) for v in range(d.n)]
+    ins = [d.in_mask(v) for v in range(d.n)]
+    matching = dec.matching
+    fixed = max(0, len(matching) - (MAX_READINGS.bit_length() - 1))
+    free = matching[fixed:]
+
+    def keeps(c: int, leaf: int, centers: int, members: int) -> bool:
+        # c reaches the old centers and they reach c (a reach along ins);
+        # an old center with an arc to leaf may have used it as a middle
+        if not (_reaches(outs, c, centers, members) and _reaches(ins, c, centers, members)):
+            return False
+        m = centers & ins[leaf]
+        while m:
+            low = m & -m
+            if not _reaches(outs, low.bit_length() - 1, centers, members):
+                return False
+            m ^= low
+        return True
+
+    def walk(i: int, centers: int, members: int) -> list[Star] | None:
+        if i == len(free):
+            return []
+        u, v = free[i]
+        for c, leaf in ((u, v), (v, u)):
+            sub_m = members & ~(1 << leaf)
+            if keeps(c, leaf, centers, sub_m):
+                rest = walk(i + 1, centers | 1 << c, sub_m)
+                if rest is not None:
+                    return [Star(c, (leaf,)), *rest]
+        return None
+
+    chosen = [s.center for s in dec.stars] + [u for u, _ in matching[:fixed]]
+    centers = set_to_mask(chosen)
+    members = centers | set_to_mask(v for e in free for v in e)
+    if not all(_reaches(outs, x, centers, members) for x in chosen):
+        return None
+    rest = walk(0, centers, members)
+    if rest is None:
+        return None
+    return dec.stars + tuple(Star(u, (v,)) for u, v in matching[:fixed]) + tuple(rest)
 
 
 def gate_kings_stars(a: Analysis) -> GateResult:
@@ -901,12 +954,12 @@ def three_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCe
 
     When the stars cover V(D), H = D - centers is a tournament with no
     sink.  Suppose a leaf h in A were a sink of H.  Then N+(h) = {z}, as
-    y -> A, A -> z and hx is missing.  Since x -> y -> z, z is in R(x), so
-    the missing edge {h, x} loses to no edge: its out-degree in Delta is 0,
-    which the gate's delta+_Delta > 0 rules out.  A leaf in B (N+ = {x},
-    with x in R(y) via y -> z -> x) and a leaf in C (N+ = {y}, with y in
-    R(z) via z -> x -> y) go the same way, so a sink of H is an internal
-    fault.
+    y -> A, A -> z and hx is missing.  Since x -> y -> z, x reaches z in
+    two steps, so the missing edge {h, x} loses to no edge: its out-degree
+    in Delta is 0, which the gate's delta+_Delta > 0 rules out.  A leaf in
+    B (N+ = {x}, which y reaches via y -> z -> x) and a leaf in C
+    (N+ = {y}, which z reaches via z -> x -> y) go the same way, so a sink
+    of H is an internal fault.
     """
     a, gate = _require(gate_three_stars_two, d)
     x, a_set, y, b_set, z, c_set = _claimed_roles(

@@ -1,14 +1,14 @@
 """Brute-force reference implementations used to validate the fast paths."""
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Sequence
 
 from seymour.dependency import Analysis, j_of
 from seymour.digraph import Digraph, Weighting, resolve_weights
 from seymour.errors import ConsistencyError
 from seymour.orders import SedimentationTrace, SedOutcome, default_sediment_budget
-from seymour.stars import Star, StarDecomposition
+from seymour.stars import MAX_READINGS, Star, StarDecomposition
 
 
 def brute_second_out(d: Digraph, v: int) -> tuple[int, ...]:
@@ -148,14 +148,15 @@ def brute_is_king(t: Digraph, v: int) -> bool:
 
 
 def brute_kings_reading(d: Digraph, dec: StarDecomposition) -> tuple[Star, ...] | None:
-    """The first star reading, over all 2 ** len(dec.matching) of them, whose
-    centers induce an all-kings tournament: an induced subdigraph and
-    brute_is_king per reading.  () without missing edges, None when no
-    reading works.  The reference the gate's mask test must match."""
+    """The first star reading, over the first MAX_READINGS of the
+    2 ** len(dec.matching) in product order, whose centers induce an
+    all-kings tournament: an induced subdigraph and brute_is_king per
+    reading.  () without missing edges, None when no reading works.  The
+    reference the gate's depth-first walk must match."""
     if dec.component_count() == 0:
         return ()
     choices = [(Star(u, (v,)), Star(v, (u,))) for u, v in dec.matching]
-    for combo in product(*choices):
+    for combo in islice(product(*choices), MAX_READINGS):
         stars = dec.stars + combo
         sub, _ = d.induced([s.center for s in stars])
         if sub.is_tournament() and all(brute_is_king(sub, v) for v in range(sub.n)):
@@ -395,6 +396,40 @@ def pairwise_xi_groups(k_sets: Sequence[Sequence[int]]) -> tuple[tuple[int, ...]
         hit = [g for g in groups if any(set(k_sets[j]) & set(k) for j in g)]
         groups = [g for g in groups if g not in hit] + [{i}.union(*hit)]
     return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
+def brute_component_index(d: Digraph):
+    """The component index of d on Python sets, from brute_dependency_arcs:
+    weak components by a search over the arcs taken both ways, each and
+    all of them in (u, v) order of the missing edges; K-sets as endpoint
+    sets; K(xi) groups by pairwise_xi_groups.  Returns (components,
+    k_sets, xi_groups, k_of_xi, succ, pred), the fields of
+    `dependency.ComponentIndex` and the successor and predecessor tuples
+    of its Delta, which `dependency.component_index` must match."""
+    edges = [frozenset(p) for p in brute_missing_pairs(d)]
+    arcs = brute_dependency_arcs(d)
+    nbrs = {e: set() for e in edges}
+    for a, b in arcs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    components: list[tuple] = []
+    for e in edges:
+        if any(e in comp for comp in components):
+            continue
+        comp, stack = {e}, [e]
+        while stack:
+            for f in nbrs[stack.pop()] - comp:
+                comp.add(f)
+                stack.append(f)
+        components.append(tuple(f for f in edges if f in comp))
+    k_sets = tuple(tuple(sorted(set().union(*comp))) for comp in components)
+    xi_groups = pairwise_xi_groups(k_sets)
+    k_of_xi = tuple(
+        tuple(sorted(set().union(*(k_sets[i] for i in g)))) for g in xi_groups
+    )
+    succ = {e: tuple(b for a, b in arcs if a == e) for e in edges}
+    pred = {e: tuple(a for a, b in arcs if b == e) for e in edges}
+    return tuple(components), k_sets, xi_groups, k_of_xi, succ, pred
 
 
 def reference_sediment(

@@ -102,16 +102,18 @@ def test_analysis_reports_why_there_is_no_decomposition():
 
 
 def test_star_procedures_walk_the_readings_once(monkeypatch):
-    # the gate hands its reading to the procedure in GateResult.roles
+    # the gate hands its reading to the procedure in GateResult.roles: the
+    # kings-stars gate walks its readings in _kings_reading, the three-stars
+    # gate through center_assignments
     calls = Counter()
-    original = theorems.center_assignments
+    for pred, name in (("kings-stars", "_kings_reading"), ("three-stars", "center_assignments")):
+        original = getattr(theorems, name)
 
-    def counted(dec):
-        calls["readings"] += 1
-        return original(dec)
+        def counted(*args, original=original):
+            calls["readings"] += 1
+            return original(*args)
 
-    monkeypatch.setattr(theorems, "center_assignments", counted)
-    for pred in ("kings-stars", "three-stars"):
+        monkeypatch.setattr(theorems, name, counted)
         for d in filtered_search(pred, 9, 0, budget=200, count=4).instances:
             calls.clear()
             cert = THEOREMS[pred](d)

@@ -92,6 +92,22 @@ def test_median_above_the_local_cap_exits_two(monkeypatch, capsys):
     assert f"capped at {MAX_LOCAL_N} vertices, got {n}" in captured.err
 
 
+def test_verify_above_the_exact_cap_exits_two(capsys):
+    assert main(["verify", "havet-thomasse", "random-tournament n=16 seed=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at 15 vertices, got 16" in captured.err
+
+
+def test_filtered_sweep_above_the_exact_cap_exits_two(capsys):
+    # the first instance whose median order needs more than 2 vertices
+    # stops the sweep; no report is written
+    assert main(["sweep", "kings-stars", "--max-n", "8", "--seed", "1", "--cap-exact", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at 2 vertices" in captured.err
+
+
 def test_cap_exact_at_the_ceiling_is_accepted(capsys):
     code, out = run(["median", "TT3", "--cap-exact", "20", "--format", "machine"], capsys)
     assert code == 0

@@ -26,7 +26,12 @@ from seymour.forge import (
 )
 from seymour.stars import convenient_orientations, edge, edge_pair
 
-from oracles import brute_dependency_arcs, brute_losing, pairwise_xi_groups
+from oracles import (
+    brute_component_index,
+    brute_dependency_arcs,
+    brute_losing,
+    pairwise_xi_groups,
+)
 
 
 def test_loses_to_c4x_examples():
@@ -273,6 +278,21 @@ def test_xi_groups_match_the_pairwise_grouping():
         groups[max(map(len, ci.xi_groups), default=0) > 1] += 1
     # groups of several components and groups of one both occur
     assert groups[True] and groups[False]
+
+
+def test_component_index_matches_the_set_reference():
+    # small random digraphs carry the losing pairs, which star-deleted
+    # inputs almost never have
+    arcs = 0
+    for density in (0.5, 0.7, 0.9):
+        for n in range(1, 11):
+            for seed in range(12):
+                d = random_digraph(n, seed, density)
+                ci = component_index(d)
+                got = (ci.components, ci.k_sets, ci.xi_groups, ci.k_of_xi, ci.dd.succ, ci.dd.pred)
+                assert got == brute_component_index(d), (density, n, seed)
+                arcs += len(ci.dd.arcs)
+    assert arcs >= 100
 
 
 def test_xi_groups_of_a_large_arcless_digraph():

@@ -33,6 +33,7 @@ from seymour.theorems import (
     _three_star_readings,
     all_kings,
     check_hypotheses,
+    gate_havet_thomasse,
     gate_kings_stars,
     gate_three_stars_two,
     has_snp,
@@ -94,6 +95,19 @@ def test_weighted_snp_matches_brute_force(seed, n, data):
     assert [has_snp(d, v, w) for v in range(n)] == [brute_has_snp(d, v, w) for v in range(n)]
 
 
+@pytest.mark.parametrize("density", [0.0, 0.5, 0.9, 1.0])
+def test_havet_thomasse_gate_counts_the_missing_pairs(density):
+    # the gate counts from the arc count; the evidence reads as the length
+    # of the missing-pair tuple would
+    for n in range(10):
+        for seed in range(8):
+            d = random_digraph(n, seed, density)
+            (check,) = gate_havet_thomasse(Analysis(d)).checks
+            missing = len(d.missing_pairs())
+            assert check.evidence == f"{missing} missing pair(s)"
+            assert check.ok == (missing == 0) == d.is_tournament()
+
+
 def test_havet_thomasse_examples():
     cert = havet_thomasse_witnesses(fixture("C3"))
     assert len(set(cert.witnesses)) == 2
@@ -124,8 +138,9 @@ def test_kings_stars_gate_names_the_reading_cap():
     # edges, 512 readings, of which the gate tries MAX_READINGS = 256
     n = 18
     d = Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2])
-    (_, centers, _) = gate_kings_stars(Analysis(d)).checks
-    assert not centers.ok
+    a = Analysis(d)
+    (_, centers, _) = gate_kings_stars(a).checks
+    assert not centers.ok and brute_kings_reading(d, a.dec) is None
     assert centers.evidence == (
         "no center assignment among the first 256 of 512 readings"
         " induces an all-kings tournament"
@@ -134,13 +149,32 @@ def test_kings_stars_gate_names_the_reading_cap():
     assert centers.evidence == "no center assignment induces an all-kings tournament"
 
 
+def test_kings_walk_prunes_below_a_failing_center(monkeypatch):
+    # the 18-vertex transitive instance above: whichever endpoint of the
+    # second edge becomes a center, it cannot reach vertex 0, so the walk
+    # stops at depth one instead of testing all 256 readings
+    n = 18
+    d = Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2])
+    calls = Counter()
+    original = theorems._reaches
+
+    def counted(*args):
+        calls["reaches"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(theorems, "_reaches", counted)
+    assert gate_kings_stars(Analysis(d)).roles is None
+    assert 0 < calls["reaches"] <= 8
+
+
 def test_kings_reading_matches_the_induced_reference():
-    # at most 8 matching edges, so the gate tries every reading; two or more
-    # centers often fail to be kings among themselves, so None shows up too
+    # 0-13 matching edges: above 8 the gate and the reference both stop
+    # after MAX_READINGS readings; two or more centers often fail to be
+    # kings among themselves, so None shows up too
     rng = random.Random(7)
-    outcomes = set()
+    outcomes = Counter()
     for seed in range(300):
-        matching = rng.randint(0, 8)
+        matching = rng.randint(0, 13)
         shapes = [1] * matching + [rng.randint(2, 3) for _ in range(rng.randint(0, 2))]
         rng.shuffle(shapes)
         n = sum(s + 1 for s in shapes) + rng.randint(1, 4)
@@ -148,8 +182,8 @@ def test_kings_reading_matches_the_induced_reference():
         a = Analysis(d)
         want = brute_kings_reading(d, a.dec)
         assert gate_kings_stars(a).roles == want
-        outcomes.add(want is None)
-    assert outcomes == {False, True}
+        outcomes[matching > 8, want is None] += 1
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_kings_stars_certifies_every_tournament_on_five_vertices():
