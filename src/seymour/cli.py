@@ -18,8 +18,9 @@ Exit codes: 0 = all verified or gated, 1 = oracle or consistency failure
 or any other internal fault, 2 = usage or parse error (including an
 instance-spec key its kind does not read, an instance file or stdin that
 cannot be read or is not UTF-8 text, an --out path that cannot be
-written, and a median order of more vertices than the local repair's
-cap MAX_LOCAL_N).
+written, a median order of more vertices than the local repair's cap
+MAX_LOCAL_N, and a dependency digraph of more missing edges than
+MAX_MISSING_EDGES).
 """
 
 from __future__ import annotations
@@ -460,7 +461,8 @@ def main(argv=None) -> int:
             return result
         _write(emit_report(result, args.format), args.out)
     # a size cap reaching here is --cap-exact under `verify` or a filtered
-    # sweep, or `median`'s local repair cap
+    # sweep, `median`'s local repair cap, or the dependency digraph's
+    # missing-edge cap
     except (ParseError, UsageError, ExactBoundExceededError) as exc:
         print(f"seymour: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ in the first mask and the other in the second.  dependency_digraph tests
 every pair on those masks; losing_roles, and through it loses_to and the
 role labeling of propagate_roles, reads the same helper.  The dependency
 digraph has the missing edges as vertices and one arc per losing pair
-(digons allowed there).
+(digons allowed there).  Its per-edge tables grow with the number of
+missing edges, so dependency_digraph refuses more than MAX_MISSING_EDGES
+of them before building any.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .digraph import Digraph, VertexSet, mask_to_set, set_to_mask
-from .errors import NotDisjointStarsError
+from .errors import ExactBoundExceededError, NotDisjointStarsError
 from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
+
+
+# Missing-edge cap of the dependency digraph, whose per-edge dicts and lists
+# grow with the edge count: `seymour delta` on an arcless digraph peaked at
+# 70 MB with 300 vertices (44,850 missing edges) and 74 MB with 316 (49,770,
+# just under the cap), and at 201 MB with 600 (179,700) before the cap
+# (Python 3.11, one process, ru_maxrss).
+MAX_MISSING_EDGES = 50_000
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,13 @@ class DependencyDigraph:
 
 
 def dependency_digraph(d: Digraph) -> DependencyDigraph:
+    # only more vertex pairs than the cap can hold more missing edges, so
+    # smaller digraphs count no arcs
+    pairs_n = d.n * (d.n - 1) // 2
+    if pairs_n > MAX_MISSING_EDGES and (missing := pairs_n - d.arc_count) > MAX_MISSING_EDGES:
+        raise ExactBoundExceededError(
+            f"dependency digraph capped at {MAX_MISSING_EDGES} missing edges, got {missing}"
+        )
     pairs = d.missing_pairs()
     edges = tuple(edge(u, v) for u, v in pairs)
     arcs = []

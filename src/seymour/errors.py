@@ -26,8 +26,9 @@ class NotGoodDigraphError(SeymourError, ValueError):
 
 
 class ExactBoundExceededError(SeymourError, ValueError):
-    """A solver was asked for more vertices than its cap allows: the exact
-    solver's cap, or the local repair's MAX_LOCAL_N."""
+    """A solver was asked for more than its cap allows: the exact solver's
+    vertex cap, the local repair's MAX_LOCAL_N, or the dependency digraph's
+    MAX_MISSING_EDGES."""
 
 
 class UnrealizableError(SeymourError, ValueError):

@@ -13,11 +13,15 @@ interval feedback property:
 where neighborhood weights are vertex-set weights inside the interval.
 One scan finds the first violation; `satisfies_feedback` reports it and
 `local_median_order` repairs it.  Both build signed rows once per call,
-rows[v][u] = w(u) if v -> u, -w(u) if u -> v and 0 otherwise (n * n
-integers, so both refuse more than MAX_LOCAL_N vertices), so each row of
-the scan is one running sum (`accumulate`) over a slice of the order,
-with a `max` or `min` deciding whether it is searched.  Each repair move
-rescans and re-checks the whole order.
+rows[v][u] = w(u) if v -> u, -w(u) if u -> v and 0 otherwise, and their
+transpose (2 * n * n entries, so both refuse more than MAX_LOCAL_N
+vertices), and the scan tries the starts of intervals from the left,
+stopping at the first start with a violation.  It reads each vertex's
+prefix balance, its row summed over the vertices before it:
+`satisfies_feedback` builds the balances, and `local_median_order` keeps
+them across moves, changing only those of the moved vertex and of the
+vertices it passes.  After each move the repair re-checks the whole
+order's epsilon-augmented weight.
 
 Every kernel reads the weights as integers over one common denominator,
 which orders every sum exactly as the rational weights do.  A `Weighting`
@@ -115,8 +119,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import and_, mul, or_
+from itertools import accumulate, islice
+from operator import and_, mul, or_, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .dependency import Analysis
@@ -135,11 +139,11 @@ LinearOrder = tuple[int, ...]
 DEFAULT_EXACT_CAP = 15
 # hard ceiling on any cap: the DP keeps several lists of 2**n entries
 MAX_EXACT_CAP = 20
-# Vertex cap of the local repair, whose signed rows hold n * n integers:
-# `seymour median "random-tournament n=N seed=3"` took 2.2 s and 26 MB at
-# N = 200, 21 s and 36 MB at 400 and 217 s and 76 MB at 800, and an arcless
-# digraph (no move) peaked at 31 MB at n = 1,000 and 54 MB at 2,000
-# (Python 3.11, one process).
+# Vertex cap of the local repair, whose signed rows and their columns hold
+# 2 * n * n entries: `seymour median "random-tournament n=N seed=3"` took
+# 1.2 s and 26 MB at N = 200, 12.7 s and 35 MB at 400 and 134 s and 79 MB
+# at 800, and an arcless digraph (no move) peaked at 39 MB at n = 1,000,
+# against 31 MB with the rows alone (Python 3.11, one process).
 MAX_LOCAL_N = 1000
 # Below this many vertices a _median_dp call with equal positive weights and
 # no tiebreak pulls the forward-arc count from the whole table, and the
@@ -634,46 +638,57 @@ def _signed_rows(d: Digraph, weights: Sequence[int]) -> list[list[int]]:
     return rows
 
 
+def _prefix_balance(rows: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
+    """before[v] = row v of `_signed_rows` summed over the vertices placed
+    before v in order, w(N+(v)) - w(N-(v)) over that prefix."""
+    before = [0] * len(rows)
+    for p, v in enumerate(order):
+        before[v] = sum(map(rows[v].__getitem__, order[:p]))
+    return before
+
+
 def _first_violation(
-    rows: Sequence[Sequence[int]], order: Sequence[int]
+    rows: Sequence[Sequence[int]],
+    cols: Sequence[Sequence[int]],
+    before: Sequence[int],
+    order: Sequence[int],
 ) -> tuple[int, int, str] | None:
     """First interval feedback violation, 0-based, by (i asc, j desc, head first).
 
-    rows are the signed rows of `_signed_rows`.  A head violation (i, j) has
-    w(N+(v_i)) < w(N-(v_i)) inside [i, j], so moving v_i to position j
-    gains; a tail violation has w(N-(v_j)) < w(N+(v_j)) inside [i, j], so
-    moving v_j to position i gains.
+    rows are the signed rows of `_signed_rows`, cols their transpose and
+    before the prefix balances of `_prefix_balance`.  A head violation
+    (i, j) has w(N+(v_i)) < w(N-(v_i)) inside [i, j], so moving v_i to
+    position j gains; a tail violation has w(N-(v_j)) < w(N+(v_j)) inside
+    [i, j], so moving v_j to position i gains.
 
-    Tail row j is one running sum of row v_j over v_{j-1}, ..., v_0; its
-    least i with a positive sum is its violation.  The least i wins, and on
-    a tie the larger j, so a row is searched only when the sums that could
-    reach i <= the current tail's i have a positive maximum.  Head row i is
-    one running sum over v_{i+1}, ..., v_{n-1}, and its largest j with a
-    negative sum is its violation.  Head rows run for i up to the tail's i:
-    a head violation at a smaller i wins, and at the tail's i only one with
-    j >= the tail's j does, so the minimum is taken over those sums only.
+    Starts a = 0, 1, ... are tried in turn, and the first start with a
+    violation returns.  At start a, head row a is one running sum of row
+    v_a over v_{a+1}, ..., v_{n-1}, and its largest j with a negative sum
+    is its violation.  The tail sums T[j], row v_j over v_a, ..., v_{j-1}
+    for every j > a, start as before[v_j] at a = 0, and each start after
+    it subtracts column v_a of the start before; the largest j with a
+    positive T[j] is the tail violation.  The larger j wins, head on a tie.
     """
-    n = len(order)
-    tail = None
-    for j in range(1, n):
-        # sums[k] = w(N+) - w(N-) of v_j inside [j - 1 - k, j]
-        sums = list(accumulate(map(rows[order[j]].__getitem__, order[j - 1 :: -1])))
-        lo = 0 if tail is None else j - 1 - tail[0]
-        if max(sums[lo:], default=0) > 0:
-            k = j - 1
-            while sums[k] <= 0:
-                k -= 1
-            tail = (j - 1 - k, j)
-    for i in range(n - 1 if tail is None else tail[0] + 1):
-        # sums[k] = w(N+) - w(N-) of v_i inside [i, i + 1 + k]
-        sums = list(accumulate(map(rows[order[i]].__getitem__, order[i + 1 :])))
-        lo = 0 if tail is None or i < tail[0] else tail[1] - i - 1
-        if min(sums[lo:], default=0) < 0:
-            k = len(sums) - 1
-            while sums[k] >= 0:
-                k -= 1
-            return i, i + 1 + k, "head"
-    return None if tail is None else (*tail, "tail")
+    rest = list(order[1:])
+    tails = list(map(before.__getitem__, rest))
+    for a, v in enumerate(order[:-1]):
+        # heads[k] and tails[k] are w(N+) - w(N-) inside [a, a + 1 + k] of
+        # v_a and of v_{a+1+k}
+        head = tail = -1
+        heads = list(accumulate(map(rows[v].__getitem__, rest)))
+        if min(heads) < 0:
+            head = len(heads) - 1
+            while heads[head] >= 0:
+                head -= 1
+        if max(tails) > 0:
+            tail = len(tails) - 1
+            while tails[tail] <= 0:
+                tail -= 1
+        if head >= 0 or tail >= 0:
+            return (a, a + 1 + head, "head") if head >= tail else (a, a + 1 + tail, "tail")
+        del rest[0]
+        tails = list(map(sub, islice(tails, 1, None), map(cols[v].__getitem__, rest)))
+    return None
 
 
 def satisfies_feedback(
@@ -681,7 +696,8 @@ def satisfies_feedback(
 ) -> FeedbackReport:
     """Check the interval feedback property of an order."""
     order = _check_order(d, order)
-    found = _first_violation(_signed_rows(d, _int_weights(d, w)[0]), order)
+    rows = _signed_rows(d, _int_weights(d, w)[0])
+    found = _first_violation(rows, list(zip(*rows)), _prefix_balance(rows, order), order)
     if found is None:
         return FeedbackReport(True, None)
     i, j, _ = found
@@ -732,26 +748,39 @@ def local_median_order(
     increases the epsilon-augmented forward weight (A, E, C) (and never
     decreases the plain forward weight A), so the loop terminates and the
     result satisfies the feedback property.  The signed rows of
-    `_signed_rows`, n * n integers, are built once per call; every scan
-    runs on them from scratch.  After each move the whole order's triple is
-    recomputed by `_eps_triple` and must exceed the one before, or the move
-    raises ConsistencyError.
+    `_signed_rows` and their columns, n * n integers each, are built once
+    per call, and so are the prefix balances of `_prefix_balance`.  A move
+    rotates positions i..j only, so it changes the balances of those
+    vertices only: each vertex it passes loses or gains the moved vertex's
+    column entry, and the moved vertex's balance changes by its row summed
+    over the vertices it passed, O(j - i) in all.  After each move the
+    whole order's triple is recomputed by `_eps_triple` and must exceed
+    the one before, or the move raises ConsistencyError.
     """
     order = list(_check_order(d, init))
     weights = _int_weights(d, w)[0]
     rows = _signed_rows(d, weights)
+    cols = list(zip(*rows))
+    before = _prefix_balance(rows, order)
     in_masks = [d.in_mask(v) for v in range(d.n)]
     classes = _weight_classes(weights)
     current = _eps_triple(in_masks, weights, classes, order)
     while True:
-        found = _first_violation(rows, order)
+        found = _first_violation(rows, cols, before, order)
         if found is None:
             return tuple(order)
         i, j, kind = found
         if kind == "head":
+            v, passed, sign = order[i], order[i + 1 : j + 1], 1
             order.insert(j, order.pop(i))
         else:
+            v, passed, sign = order[j], order[i:j], -1
             order.insert(i, order.pop(j))
+        # v leaves (head) or joins (tail) the prefix of each vertex it passed
+        col = cols[v]
+        for u in passed:
+            before[u] -= sign * col[u]
+        before[v] += sign * sum(map(rows[v].__getitem__, passed))
         new = _eps_triple(in_masks, weights, classes, order)
         if not new > current:
             raise ConsistencyError("repair move failed to increase forward weight")

@@ -92,6 +92,18 @@ def test_median_above_the_local_cap_exits_two(monkeypatch, capsys):
     assert f"capped at {MAX_LOCAL_N} vertices, got {n}" in captured.err
 
 
+def test_delta_above_the_missing_edge_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr("seymour.dependency.MAX_MISSING_EDGES", 5)
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 1\n0 1\n"))
+    assert main(["delta", "-"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 0\n"))
+    assert main(["delta", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at 5 missing edges, got 6" in captured.err
+
+
 def test_verify_above_the_exact_cap_exits_two(capsys):
     assert main(["verify", "havet-thomasse", "random-tournament n=16 seed=3"]) == 2
     captured = capsys.readouterr()

@@ -1,8 +1,10 @@
 from collections import Counter
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from seymour import dependency
 from seymour.dependency import (
     Analysis,
     component_index,
@@ -17,6 +19,7 @@ from seymour.dependency import (
     strong_dependency_check,
 )
 from seymour.digraph import Digraph
+from seymour.errors import ExactBoundExceededError
 from seymour.forge import (
     fixture,
     losing_cycle_gadget,
@@ -117,6 +120,28 @@ def test_propagate_roles_labels_every_reachable_edge():
     for e1, e2 in ((e[0], e[1]), (e[1], e[2])):
         assert roles[e2] == losing_roles(d, e1, e2, roles[e1][0])
     assert propagate_roles(d, dd, {}) == {}
+
+
+def test_dependency_digraph_refuses_more_than_its_missing_edge_cap(monkeypatch):
+    # the count comes from n and the arc count: no missing pair is listed
+    # above the cap, so the smallest arcless digraph above it costs nothing
+    cap = dependency.MAX_MISSING_EDGES
+    n = next(n for n in range(2, cap) if n * (n - 1) // 2 > cap)
+
+    def unlisted(self):
+        raise AssertionError("missing pairs listed above the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(Digraph, "missing_pairs", unlisted)
+        with pytest.raises(
+            ExactBoundExceededError,
+            match=f"capped at {cap} missing edges, got {n * (n - 1) // 2}",
+        ):
+            dependency_digraph(Digraph(n))
+    monkeypatch.setattr(dependency, "MAX_MISSING_EDGES", 5)
+    assert len(dependency_digraph(Digraph(4, [(0, 1)])).edges) == 5
+    with pytest.raises(ExactBoundExceededError, match="capped at 5 missing edges, got 6"):
+        Analysis(Digraph(4)).ci
 
 
 def test_dependency_digraph_examples():

@@ -354,29 +354,77 @@ def _scan_instance(rng, n, kind, weighting):
     return d, w, tuple(init)
 
 
+def _recorded_scans(monkeypatch, d, init, w):
+    """Run local_median_order(d, init, w) with `_first_violation` wrapped:
+    its result, and the (before, order, found) of every scan."""
+    scan = orders._first_violation
+    calls = []
+
+    def recording(rows, cols, before, order):
+        found = scan(rows, cols, before, order)
+        calls.append((list(before), tuple(order), found))
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(orders, "_first_violation", recording)
+        return local_median_order(d, init, w), calls
+
+
 @pytest.mark.parametrize("n", range(13))
-def test_feedback_scan_matches_the_definition(n):
+def test_feedback_scan_matches_the_definition(n, monkeypatch):
     rng = random.Random(f"feedback-scan|{n}")
     for kind in ("tournament", "digraph"):
         for weighting in ("unit", "mixed", "zero"):
             for _ in range(6):
                 d, w, init = _scan_instance(rng, n, kind, weighting)
+                out, calls = _recorded_scans(monkeypatch, d, init, w)
+                # every order of the repair, from the shuffled start to the
+                # result, which has no violation
+                assert calls[0][1] == init and calls[-1][1] == out
+                assert calls[-1][2] is None
+                for _, order, found in calls:
+                    assert found == brute_first_violation(d, order, w)
                 rows = orders._signed_rows(d, orders._int_weights(d, w)[0])
-                # a shuffled start, and its repair, which has no violation
-                for order in (init, local_median_order(d, init, w)):
+                cols = list(zip(*rows))
+                for order in (init, out):
                     want = brute_first_violation(d, order, w)
-                    assert orders._first_violation(rows, order) == want
+                    before = orders._prefix_balance(rows, order)
+                    assert orders._first_violation(rows, cols, before, order) == want
                     rep = satisfies_feedback(d, order, w)
                     assert rep.ok == (want is None)
                     assert rep.violation == (None if want is None else (want[0] + 1, want[1] + 1))
+
+
+def _fresh_prefix_balance(d, weights, order):
+    """w(N+(v)) - w(N-(v)) over the vertices before v, from the arcs."""
+    before = [0] * d.n
+    for p, v in enumerate(order):
+        for u in order[:p]:
+            before[v] += weights[u] if d.has_arc(v, u) else -weights[u] if d.has_arc(u, v) else 0
+    return before
+
+
+@pytest.mark.parametrize("n", (*range(13), 48))
+def test_repair_keeps_every_prefix_balance(n, monkeypatch):
+    """The balances local_median_order updates move by move equal, at every
+    scan, the ones built from the arcs for that scan's order."""
+    rng = random.Random(f"prefix-balance|{n}")
+    for kind in ("tournament", "digraph"):
+        for weighting in ("unit", "mixed", "zero"):
+            for _ in range(1 if n == 48 else 4):
+                d, w, init = _scan_instance(rng, n, kind, weighting)
+                weights = orders._int_weights(d, w)[0]
+                _, calls = _recorded_scans(monkeypatch, d, init, w)
+                for before, order, _ in calls:
+                    assert before == _fresh_prefix_balance(d, weights, order)
 
 
 @pytest.mark.parametrize("n", (24, 36, 48))
 @pytest.mark.parametrize("kind", ("tournament", "digraph"))
 @pytest.mark.parametrize("weighted", (False, True))
 def test_local_median_order_matches_the_scalar_repair(n, kind, weighted):
-    """Above the golden files' sizes, the row scan and the in-mask triple
-    repair every start to the order of the pair-at-a-time reference."""
+    """Above the golden files' sizes, the left-to-right scan and the in-mask
+    triple repair every start to the order of the pair-at-a-time reference."""
     rng = random.Random(f"local-repair|{n}|{kind}|{weighted}")
     for _ in range(2):
         s = rng.randrange(1 << 30)
@@ -390,11 +438,15 @@ def test_local_median_order_matches_the_scalar_repair(n, kind, weighted):
 def test_a_repair_move_without_gain_raises(monkeypatch):
     # TT3 in order (0, 1, 2) has every arc forward; moving 0 to the end
     # loses two arcs, and the whole-order triple check must refuse it
-    monkeypatch.setattr(orders, "_first_violation", lambda rows, order: (0, 2, "head"))
+    monkeypatch.setattr(
+        orders, "_first_violation", lambda rows, cols, before, order: (0, 2, "head")
+    )
     with pytest.raises(ConsistencyError, match="failed to increase"):
         local_median_order(fixture("TT3"), (0, 1, 2))
     # a move that leaves the order unchanged gains nothing either
-    monkeypatch.setattr(orders, "_first_violation", lambda rows, order: (1, 1, "tail"))
+    monkeypatch.setattr(
+        orders, "_first_violation", lambda rows, cols, before, order: (1, 1, "tail")
+    )
     with pytest.raises(ConsistencyError, match="failed to increase"):
         local_median_order(fixture("TT3"), (0, 1, 2))
 
