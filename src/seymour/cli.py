@@ -19,8 +19,8 @@ or any other internal fault, 2 = usage or parse error (including an
 instance-spec key its kind does not read, an instance file or stdin that
 cannot be read or is not UTF-8 text, an --out path that cannot be
 written, a median order of more vertices than the local repair's cap
-MAX_LOCAL_N, and a dependency digraph of more missing edges than
-MAX_MISSING_EDGES).
+MAX_LOCAL_N, an instance spec of more vertices than that cap, and a
+dependency digraph of more missing edges than MAX_MISSING_EDGES).
 """
 
 from __future__ import annotations

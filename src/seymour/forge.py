@@ -14,7 +14,7 @@ from .digraph import Digraph
 from .stars import edge, edge_pair
 from .dependency import Analysis, dependency_digraph
 from .errors import ConsistencyError, UnrealizableError
-from . import theorems
+from . import orders, theorems
 
 
 _FIXTURE_DEFS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -528,11 +528,18 @@ class InstanceSpec:
 
 
 def build(spec: InstanceSpec) -> Digraph:
-    """Materialize an InstanceSpec; same spec, same digraph."""
+    """Materialize an InstanceSpec; same spec, same digraph.
+
+    A spec of more vertices than `orders.MAX_LOCAL_N`, the largest digraph
+    any command orders, raises ValueError before any arc is drawn.
+    """
     kind = spec.kind
     if kind == "fixture":
         return fixture(spec.get("name", "C3"))
-    n = int(spec.get("n", "6"))
+    # the losing cycle on k missing edges has 2k vertices
+    n = 2 * int(spec.get("k", "3")) if kind == "losing-cycle-gadget" else int(spec.get("n", "6"))
+    if n > orders.MAX_LOCAL_N:
+        raise ValueError(f"instance specs capped at {orders.MAX_LOCAL_N} vertices, got {n}")
     seed = int(spec.get("seed", "0"))
     if kind == "random-tournament":
         return random_tournament(n, seed)
@@ -545,6 +552,6 @@ def build(spec: InstanceSpec) -> Digraph:
         )
         return random_star_deleted(n, seed, shapes)
     if kind == "losing-cycle-gadget":
-        return losing_cycle_gadget(int(spec.get("k", "3")))
+        return losing_cycle_gadget(n // 2)
     # the last of InstanceSpec.KINDS: the spec refused any other kind
     return all_kings_tournament(n)

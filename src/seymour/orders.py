@@ -20,8 +20,10 @@ stopping at the first start with a violation.  It reads each vertex's
 prefix balance, its row summed over the vertices before it:
 `satisfies_feedback` builds the balances, and `local_median_order` keeps
 them across moves, changing only those of the moved vertex and of the
-vertices it passes.  After each move the repair re-checks the whole
-order's epsilon-augmented weight.
+vertices it passes.  Each move must raise the epsilon-augmented weight,
+which the repair checks from the arcs between the moved vertex and the
+vertices it passes, in O(j - i); it weighs the whole order at its start
+and its end only, and the two must differ by the moves' summed changes.
 
 Every kernel reads the weights as integers over one common denominator,
 which orders every sum exactly as the rational weights do.  A `Weighting`
@@ -120,7 +122,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import and_, mul, or_, sub
+from operator import add, and_, mul, or_, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .dependency import Analysis
@@ -141,9 +143,11 @@ DEFAULT_EXACT_CAP = 15
 MAX_EXACT_CAP = 20
 # Vertex cap of the local repair, whose signed rows and their columns hold
 # 2 * n * n entries: `seymour median "random-tournament n=N seed=3"` took
-# 1.2 s and 26 MB at N = 200, 12.7 s and 35 MB at 400 and 134 s and 79 MB
-# at 800, and an arcless digraph (no move) peaked at 39 MB at n = 1,000,
-# against 31 MB with the rows alone (Python 3.11, one process).
+# 1.1-1.7 s and 26 MB at N = 200, 9.9-12.0 s and 36 MB at 400 (five runs
+# each) and 134 s and 79 MB at 800, and an arcless digraph (no move)
+# peaked at 39 MB at n = 1,000, against 31 MB with the rows alone (Python
+# 3.11, one process, 2 vCPUs on a shared host).  Instance specs share the
+# cap, so no command builds a larger generated digraph.
 MAX_LOCAL_N = 1000
 # Below this many vertices a _median_dp call with equal positive weights and
 # no tiebreak pulls the forward-arc count from the whole table, and the
@@ -739,6 +743,33 @@ def _eps_triple(
     return a, e + sum(map(mul, w_order, cnt)), sum(cnt)
 
 
+def _move_delta(
+    d: Digraph,
+    weights: Sequence[int],
+    classes: Sequence[tuple[int, int]],
+    v: int,
+    passed: int,
+    head: bool,
+) -> tuple[int, int, int]:
+    """Change of (A, E, C) when v moves past the vertices of mask passed,
+    from before them to after them (a head move) or back (a tail move).
+
+    Only the arcs between v and passed change direction.  A head move
+    turns the arcs from G_in = N-(v) & passed forward and those to
+    G_out = N+(v) & passed backward; a tail move swaps the two.  With
+    dw = w(G_in) - w(G_out), one popcount per weight class of
+    `_weight_classes`, and dc = |G_in| - |G_out|, the change is
+    (w(v) * dw, dw + w(v) * dc, dc).
+    """
+    gain, loss = d.in_mask(v) & passed, d.out_mask(v) & passed
+    if not head:
+        gain, loss = loss, gain
+    dc = gain.bit_count() - loss.bit_count()
+    dw = sum(wt * ((m & gain).bit_count() - (m & loss).bit_count()) for wt, m in classes)
+    wv = weights[v]
+    return wv * dw, dw + wv * dc, dc
+
+
 def local_median_order(
     d: Digraph, init: Sequence[int], w: Weighting | None = None
 ) -> LinearOrder:
@@ -753,9 +784,12 @@ def local_median_order(
     rotates positions i..j only, so it changes the balances of those
     vertices only: each vertex it passes loses or gains the moved vertex's
     column entry, and the moved vertex's balance changes by its row summed
-    over the vertices it passed, O(j - i) in all.  After each move the
-    whole order's triple is recomputed by `_eps_triple` and must exceed
-    the one before, or the move raises ConsistencyError.
+    over the vertices it passed, O(j - i) in all.  Each move's change of
+    the triple, `_move_delta` on d's in- and out-masks, must be
+    lexicographically positive, or the move raises ConsistencyError.  The
+    whole order's triple is weighed by `_eps_triple` at the start and at
+    the end, and the end must equal the start plus the summed changes, or
+    the call raises ConsistencyError.
     """
     order = list(_check_order(d, init))
     weights = _int_weights(d, w)[0]
@@ -768,9 +802,14 @@ def local_median_order(
     while True:
         found = _first_violation(rows, cols, before, order)
         if found is None:
+            if _eps_triple(in_masks, weights, classes, order) != current:
+                raise ConsistencyError(
+                    "repair moves' weight changes disagree with the final order's weight"
+                )
             return tuple(order)
         i, j, kind = found
-        if kind == "head":
+        head = kind == "head"
+        if head:
             v, passed, sign = order[i], order[i + 1 : j + 1], 1
             order.insert(j, order.pop(i))
         else:
@@ -781,10 +820,10 @@ def local_median_order(
         for u in passed:
             before[u] -= sign * col[u]
         before[v] += sign * sum(map(rows[v].__getitem__, passed))
-        new = _eps_triple(in_masks, weights, classes, order)
-        if not new > current:
+        delta = _move_delta(d, weights, classes, v, set_to_mask(passed), head)
+        if not delta > (0, 0, 0):
             raise ConsistencyError("repair move failed to increase forward weight")
-        current = new
+        current = tuple(map(add, current, delta))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,58 @@ def test_median_above_the_local_cap_exits_two(monkeypatch, capsys):
     assert f"capped at {MAX_LOCAL_N} vertices, got {n}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind, size",
+    [
+        ("random-tournament", "n={n} seed=1"),
+        ("random-digraph", "n={n} seed=1 density=0.5"),
+        ("star-deleted", "n={n} seed=1 shapes=2"),
+        ("all-kings", "n={n}"),
+        ("losing-cycle-gadget", "k={k}"),
+    ],
+)
+def test_instance_spec_above_the_local_cap_exits_two(kind, size, monkeypatch, capsys):
+    """Every command refuses a spec of more than MAX_LOCAL_N vertices before
+    any generator runs (each is patched to fail here)."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("generator called above the cap")
+
+    for name in (
+        "random_tournament",
+        "random_digraph",
+        "random_star_deleted",
+        "all_kings_tournament",
+        "losing_cycle_gadget",
+    ):
+        monkeypatch.setattr(f"seymour.forge.{name}", fail)
+    n = MAX_LOCAL_N + 1 if kind != "losing-cycle-gadget" else MAX_LOCAL_N + 2
+    spec = f"{kind} {size.format(n=n, k=n // 2)}"
+    for argv in (
+        ["gen", *spec.split()],
+        ["median", spec],
+        ["oracle", spec],
+        ["sediment", spec],
+        ["delta", spec],
+        ["verify", "havet-thomasse", spec],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"capped at {MAX_LOCAL_N} vertices, got {n}" in captured.err
+
+
+def test_instance_spec_at_a_patched_cap_builds(monkeypatch, capsys):
+    monkeypatch.setattr("seymour.orders.MAX_LOCAL_N", 5)
+    assert main(["gen", "random-tournament", "n=5", "seed=1"]) == 0
+    assert main(["gen", "losing-cycle-gadget", "k=2"]) == 0
+    capsys.readouterr()
+    assert main(["gen", "random-tournament", "n=6", "seed=1"]) == 2
+    assert "capped at 5 vertices, got 6" in capsys.readouterr().err
+    assert main(["gen", "losing-cycle-gadget", "k=3"]) == 2
+    assert "capped at 5 vertices, got 6" in capsys.readouterr().err
+
+
 def test_delta_above_the_missing_edge_cap_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("seymour.dependency.MAX_MISSING_EDGES", 5)
     monkeypatch.setattr("sys.stdin", io.StringIO("4 1\n0 1\n"))

@@ -45,6 +45,7 @@ from oracles import (
     brute_forward_weight,
     brute_median_value,
     reference_sediment,
+    scalar_eps_triple,
     scalar_local_median_order,
     whole_table_median_dp,
 )
@@ -417,6 +418,65 @@ def test_repair_keeps_every_prefix_balance(n, monkeypatch):
                 _, calls = _recorded_scans(monkeypatch, d, init, w)
                 for before, order, _ in calls:
                     assert before == _fresh_prefix_balance(d, weights, order)
+
+
+@pytest.mark.parametrize("n", (*range(13), 48))
+def test_every_move_delta_matches_the_whole_order_triple(n, monkeypatch):
+    """At every move of the repair, `_move_delta` equals the change of the
+    pair-at-a-time (A, E, C) from the order before the move to the one after."""
+    rng = random.Random(f"move-delta|{n}")
+    for kind in ("tournament", "digraph"):
+        for weighting in ("unit", "mixed", "zero"):
+            for _ in range(1 if n == 48 else 4):
+                d, w, init = _scan_instance(rng, n, kind, weighting)
+                weights = orders._int_weights(d, w)[0]
+                classes = orders._weight_classes(weights)
+                _, calls = _recorded_scans(monkeypatch, d, init, w)
+                triple = scalar_eps_triple(d, init, weights)
+                for (_, order, (i, j, kind_of_move)), (_, after, _) in zip(calls, calls[1:]):
+                    moved = list(order)
+                    if kind_of_move == "head":
+                        v, passed = order[i], order[i + 1 : j + 1]
+                        moved.insert(j, moved.pop(i))
+                    else:
+                        v, passed = order[j], order[i:j]
+                        moved.insert(i, moved.pop(j))
+                    assert tuple(moved) == after
+                    delta = orders._move_delta(
+                        d, weights, classes, v, set_to_mask(passed), kind_of_move == "head"
+                    )
+                    new = scalar_eps_triple(d, after, weights)
+                    assert delta == tuple(x - y for x, y in zip(new, triple))
+                    triple = new
+
+
+def test_the_repair_checks_its_summed_deltas_against_the_final_order(monkeypatch):
+    # a random tournament from its reversed labels: the repair makes moves
+    d = random_tournament(6, 1)
+    init = (5, 4, 3, 2, 1, 0)
+    want = local_median_order(d, init)
+    assert want != init
+    eps_triple = orders._eps_triple
+    calls = []
+
+    def off_at_the_end(in_masks, weights, classes, order):
+        calls.append(tuple(order))
+        a, e, c = eps_triple(in_masks, weights, classes, order)
+        return (a, e, c + 1) if len(calls) == 2 else (a, e, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(orders, "_eps_triple", off_at_the_end)
+        with pytest.raises(ConsistencyError, match="disagree"):
+            local_median_order(d, init)
+    # the whole order is weighed at the start and at the end only
+    assert calls == [init, want]
+    # a wrong move delta that still looks like a gain is caught at the end
+    move_delta = orders._move_delta
+    monkeypatch.setattr(
+        orders, "_move_delta", lambda *args: tuple(x + 1 for x in move_delta(*args))
+    )
+    with pytest.raises(ConsistencyError, match="disagree"):
+        local_median_order(d, init)
 
 
 @pytest.mark.parametrize("n", (24, 36, 48))
