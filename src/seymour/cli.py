@@ -288,39 +288,34 @@ def _verify(args, d: Digraph, w: Weighting | None) -> Outcome:
 # sweeps
 
 
-def _feed_snp_case(payload) -> tuple[int, tuple, bool]:
-    n, arcs = payload
-    t = Digraph(n, arcs)
-    res = exact_median_order(t, cap=n)
-    return n, arcs, has_snp(t, res.order[-1])
+def _feed_snp_case(t: Digraph) -> tuple[Digraph, bool]:
+    res = exact_median_order(t, cap=t.n)
+    return t, has_snp(t, res.order[-1])
 
 
-def _snp_nonempty_case(payload) -> tuple[int, tuple, bool]:
-    n, arcs = payload
-    d = Digraph(n, arcs)
-    return n, arcs, bool(snp_set(d))
+def _snp_nonempty_case(d: Digraph) -> tuple[Digraph, bool]:
+    return d, bool(snp_set(d))
 
 
 def _sweep_exhaustive(args, report: Report) -> None:
     if args.family.startswith("tournaments"):
         n = int(args.family.rsplit("n", 1)[1])
-        payloads = ((t.n, t.arcs) for t in forge.all_tournaments(n))
+        digraphs = forge.all_tournaments(n)
         case = _feed_snp_case
         label = "median feed has snp"
     else:
-        payloads = ((d.n, d.arcs) for d in forge.all_digraphs(4))
+        digraphs = forge.all_digraphs(4)
         case = _snp_nonempty_case
         label = "snp set nonempty"
     evaluated = 0
     with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        results = pool.map(case, payloads, chunksize=256) if pool else map(case, payloads)
-        for n, arcs, ok in results:
+        results = pool.map(case, digraphs, chunksize=256) if pool else map(case, digraphs)
+        for d, ok in results:
             evaluated += 1
             if not ok:
-                d = Digraph(n, arcs)
                 report.add(InstanceRecord(
                     d.fingerprint(), args.family, FAILED,
-                    {"arcs": list(arcs), "check": label},
+                    {"arcs": list(d.arcs), "check": label},
                 ))
     report.config["evaluated"] = evaluated
     report.config["violations"] = len(report.records)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .digraph import Digraph, VertexSet, mask_to_set, set_to_mask
+from .digraph import Digraph, VertexSet, _groups, mask_to_set, set_to_mask
 from .errors import ExactBoundExceededError, NotDisjointStarsError
 from .stars import Edge, StarDecomposition, decompose, edge, edge_pair
 
@@ -203,27 +203,6 @@ def propagate_roles(
 def good_edges(dd: DependencyDigraph) -> tuple[Edge, ...]:
     """Missing edges no edge loses to (in-degree 0 in the dependency digraph)."""
     return tuple(e for e in dd.edges if dd.in_degree(e) == 0)
-
-
-def _groups(n: int, links) -> list[list[int]]:
-    """Connected groups of 0..n-1 joined by links (union-find), each group
-    ascending and the groups by their least member."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return list(groups.values())
 
 
 def _reachable(start: Edge, links: dict) -> set[Edge]:

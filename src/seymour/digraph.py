@@ -35,6 +35,27 @@ def set_to_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _groups(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected groups of 0..n-1 joined by links (union-find), each group
+    ascending and the groups by their least member."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 class Digraph:
     """A loop-free digraph without digons (no pair of opposite arcs)."""
 

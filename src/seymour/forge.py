@@ -100,8 +100,6 @@ def all_digraphs(n: int) -> Iterator[Digraph]:
 # ---------------------------------------------------------------------------
 # all-kings tournaments
 
-_ALL_KINGS_CACHE: dict[int, Digraph] = {}
-
 
 def all_kings_tournament(n: int) -> Digraph:
     """A tournament in which every vertex is a king; exists iff n not in {2,4}.
@@ -113,8 +111,6 @@ def all_kings_tournament(n: int) -> Digraph:
         raise UnrealizableError(f"no all-kings tournament exists on {n} vertices")
     if n < 1:
         raise ValueError("n must be positive")
-    if n in _ALL_KINGS_CACHE:
-        return _ALL_KINGS_CACHE[n]
     if n % 2 == 1:
         half = (n - 1) // 2
         arcs = [(v, (v + d) % n) for v in range(n) for d in range(1, half + 1)]
@@ -125,7 +121,6 @@ def all_kings_tournament(n: int) -> Digraph:
     t = next((c for c in candidates if theorems.all_kings(c)), None)
     if t is None:
         raise ConsistencyError(f"no all-kings tournament found for n={n}")
-    _ALL_KINGS_CACHE[n] = t
     return t
 
 

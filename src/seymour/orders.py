@@ -2,7 +2,9 @@
 
 Forward weight of a linear order is the sum over forward arcs (u before v,
 u -> v) of w(u) * w(v); with unit weights this is the number of forward
-arcs.  A weighted median order maximizes it.  Under this arc weighting,
+arcs.  A weighted median order maximizes it.  One helper, `_eps_triple`,
+sums it: every forward weight of this module is the A field of that
+helper's triple, on in-masks and integer weights.  Under this arc weighting,
 optimality of an order is equivalent (for positive weights) to the
 interval feedback property:
 
@@ -184,7 +186,8 @@ def forward_weight(d: Digraph, order: Sequence[int], w: Weighting | None = None)
     order = _check_order(d, order)
     weights, scale = _int_weights(d, w)
     in_masks = [d.in_mask(v) for v in range(d.n)]
-    return Fraction(_masks_forward_weight(in_masks, weights, order), scale * scale)
+    a = _eps_triple(in_masks, weights, _weight_classes(weights), order)[0]
+    return Fraction(a, scale * scale)
 
 
 def _check_exact_cap(n: int, cap: int) -> None:
@@ -273,7 +276,7 @@ def _median_solve(
         )
         order.extend(comp[i] for i in local)
     tie = sum(i for i, v in enumerate(order, 1) if tie_mask >> v & 1)
-    return order, _masks_forward_weight(in_masks, weights, order), tie
+    return order, _eps_triple(in_masks, weights, _weight_classes(weights), order)[0], tie
 
 
 def _median_dp(
@@ -304,8 +307,9 @@ def _median_dp(
     are folded into S's threshold when S is first reached.  At the end of
     each level every S whose bound is below L is dropped.  L is `lower`
     when given, which must be the forward weight of some order, and
-    otherwise the weight of the local median order `_greedy_order`; the
-    closer L is to the optimum, the fewer subsets are kept.
+    otherwise the forward weight (the A field of `_eps_triple`) of the
+    local median order `_greedy_order`; the closer L is to the optimum,
+    the fewer subsets are kept.
 
     Orders and ties are those of the whole table at every n, as nothing
     below depends on n.  Every prefix S of a key-optimal order has
@@ -366,7 +370,8 @@ def _median_dp(
             parent[s] = best_v
     else:
         if lower is None:
-            lower = _masks_forward_weight(in_masks, weights, _greedy_order(in_masks, weights))
+            greedy = _greedy_order(in_masks, weights)
+            lower = _eps_triple(in_masks, weights, _weight_classes(weights), greedy)[0]
         if uniform:
             # A counts arcs in units of w * w, and every order's weight is a multiple
             lower //= unit
@@ -441,18 +446,6 @@ def _median_dp(
         s ^= 1 << v
     order.reverse()
     return order, total, tie
-
-
-def _masks_forward_weight(
-    in_masks: Sequence[int], weights: Sequence[int], order: Sequence[int]
-) -> int:
-    """Forward weight of an order of the vertices 0..n-1 of in_masks, in integer units."""
-    total = 0
-    placed = 0
-    for v in order:
-        total += weights[v] * sum(weights[u] for u in mask_to_set(placed & in_masks[v]))
-        placed |= 1 << v
-    return total
 
 
 def _triangle_packing(
@@ -608,9 +601,8 @@ def _median_value(
             local_masks = _local_in_masks(in_masks, comp)
             local_w = [weights[v] for v in comp]
             index = {v: i for i, v in enumerate(comp)}
-            lower = _masks_forward_weight(
-                local_masks, local_w, [index[v] for v in order if v in index]
-            )
+            restricted = [index[v] for v in order if v in index]
+            lower = _eps_triple(local_masks, local_w, _weight_classes(local_w), restricted)[0]
             total += _median_dp(local_masks, local_w, 0, lower)[1]
     return total
 
@@ -723,7 +715,12 @@ def _eps_triple(
     classes: Sequence[tuple[int, int]],
     order: Sequence[int],
 ) -> tuple[int, int, int]:
-    """(A, E, C) of the module docstring over the forward arcs of order.
+    """(A, E, C) of the module docstring over the forward arcs of an order
+    of the vertices 0..n-1 of in_masks.
+
+    A is the order's forward weight in integer weight units, and this is
+    the one place that sums it: `forward_weight`, the exact solve's value,
+    the DP's lower bound and `good_median_order`'s check all read A here.
 
     A running placed mask, read against each vertex's in-mask, gives its
     placed in-neighbors: C counts them, and their weight sums take one
@@ -1058,9 +1055,8 @@ def good_median_order(
 
     order = tuple(result)
     if d.n <= min(cap, MAX_EXACT_CAP):
-        if _masks_forward_weight(in_masks, weights, order) != _median_value(
-            in_masks, weights, order, solved
-        ):
+        value = _eps_triple(in_masks, weights, _weight_classes(weights), order)[0]
+        if value != _median_value(in_masks, weights, order, solved):
             raise ConsistencyError(
                 "contiguous-block optimum differs from the unconstrained optimum"
             )

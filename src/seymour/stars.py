@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator
 
-from .digraph import Arc, Digraph, VertexSet
+from .digraph import Arc, Digraph, VertexSet, _groups
 from .errors import NotDisjointStarsError
 
 Edge = frozenset  # frozenset({u, v}) naming a missing edge
@@ -55,47 +55,36 @@ class StarDecomposition:
 def decompose(d: Digraph) -> StarDecomposition:
     """Split the missing graph into disjoint stars; raise if impossible.
 
-    A component of k >= 3 vertices that passes the edge count has k - 1
-    edges and is connected, so it is a tree.  If one vertex has degree
-    k - 1, the other k - 1 vertices share the degree sum 2(k - 1) - (k - 1)
-    = k - 1, each at least 1, so each is a leaf; and a second vertex of
-    degree k - 1 would close a triangle.  So a component with a center has
-    exactly one, and every other vertex is its leaf.
+    The components of the missing graph are the groups of `_groups` over
+    the missing pairs that hold more than one vertex, each ascending and
+    in order of least member, so stars and matching edges come out in
+    that order.  A component of k >= 3 vertices that passes the edge count
+    has k - 1 edges and is connected, so it is a tree.  If one vertex has
+    degree k - 1, the other k - 1 vertices share the degree sum
+    2(k - 1) - (k - 1) = k - 1, each at least 1, so each is a leaf; and a
+    second vertex of degree k - 1 would close a triangle.  So a component
+    with a center has exactly one, and every other vertex is its leaf.
     """
     pairs = d.missing_pairs()
-    adjacency: dict[int, list[int]] = {}
+    degree = [0] * d.n
     for u, v in pairs:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-
-    seen: set[int] = set()
+        degree[u] += 1
+        degree[v] += 1
     stars: list[Star] = []
     matching: list[tuple[int, int]] = []
-    for root in sorted(adjacency):
-        if root in seen:
-            continue
-        component = []
-        stack = [root]
-        seen.add(root)
-        while stack:
-            x = stack.pop()
-            component.append(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        component.sort()
-        edges_in = sum(len(adjacency[x]) for x in component) // 2
-        if edges_in != len(component) - 1:
+    for component in _groups(d.n, pairs):
+        k = len(component)
+        if k == 1:
+            continue  # a vertex without missing edges
+        edges_in = sum(degree[x] for x in component) // 2
+        if edges_in != k - 1:
             raise NotDisjointStarsError(
-                f"missing-graph component {component} has {edges_in} edges; a star needs {len(component) - 1}"
+                f"missing-graph component {component} has {edges_in} edges; a star needs {k - 1}"
             )
-        if len(component) == 2:
+        if k == 2:
             matching.append((component[0], component[1]))
             continue
-        center = next(
-            (x for x in component if len(adjacency[x]) == len(component) - 1), None
-        )
+        center = next((x for x in component if degree[x] == k - 1), None)
         if center is None:
             raise NotDisjointStarsError(
                 f"missing-graph component {component} is not a star"
@@ -113,11 +102,6 @@ def center_assignments(dec: StarDecomposition) -> Iterator[tuple[Star, ...]]:
     choices = [(Star(u, (v,)), Star(v, (u,))) for u, v in dec.matching]
     for combo in islice(product(*choices), MAX_READINGS):
         yield dec.stars + tuple(combo)
-
-
-def canonical_stars(dec: StarDecomposition) -> tuple[Star, ...]:
-    """Deterministic star reading: matching edges centered at the smaller id."""
-    return dec.stars + tuple(Star(u, (v,)) for u, v in dec.matching)
 
 
 def orient_toward_centers(stars: tuple[Star, ...]) -> tuple[Arc, ...]:

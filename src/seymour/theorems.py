@@ -21,7 +21,6 @@ from .stars import (
     Edge,
     Star,
     StarDecomposition,
-    canonical_stars,
     center_assignments,
     convenient_orientations,
     edge,
@@ -76,6 +75,7 @@ def _reaches(outs: Sequence[int], v: int, targets: int, members: int) -> bool:
 
 def is_king(t: Digraph, v: int) -> bool:
     """In a tournament: every other vertex is reached in at most two steps."""
+    t._check(v)
     if not t.is_tournament():
         raise ValueError("is_king is defined for tournaments")
     full = (1 << t.n) - 1
@@ -535,17 +535,36 @@ def _center_of(stars: Sequence[Star]) -> dict[Edge, int]:
     return {edge(a, s.center): s.center for s in stars for a in s.leaves}
 
 
-def _orient_missing_edges(d: Digraph, stars: Sequence[Star], dd: DependencyDigraph):
-    """Every missing edge toward its star center.
+def _orient_missing_edges(stars: Sequence[Star], dd: DependencyDigraph) -> list[str]:
+    """One note per missing edge, in dd.edges order: its orientation toward
+    its star center, which `_center_feed` completes.
 
-    Returns the completed tournament and one note per edge, in dd.edges
-    order.  The two- and three-stars gates require min(delta+_Delta,
+    The two- and three-stars gates require min(delta+_Delta,
     delta-_Delta) > 0, so no edge is good (in-degree 0 in the dependency
     digraph) and none is oriented conveniently.
     """
     center_of = _center_of(stars)
-    notes = [f"{edge_pair(e)} toward center {center_of[e]}" for e in dd.edges]
-    return d.complete(orient_toward_centers(stars)), notes
+    return [f"{edge_pair(e)} toward center {center_of[e]}" for e in dd.edges]
+
+
+def _center_feed(
+    d: Digraph, stars: Sequence[Star], tiebreak: Sequence[int], cap: int
+) -> tuple[int, str]:
+    """The completion step of the one-witness proofs.
+
+    Every missing edge of d is oriented toward its star's center, and the
+    feed of an exact median order of that tournament maximizing the index
+    sum of tiebreak is returned with the trace line naming the order and
+    the tiebreak.
+    """
+    t = d.complete(orient_toward_centers(stars))
+    res = exact_median_order(t, tiebreak=tiebreak, cap=cap)
+    line = f"median order {list(res.order)}"
+    if len(tiebreak) == 1:
+        line += f" (index of {tiebreak[0]} maximal)"
+    elif tiebreak:
+        line += f" (index sum of {','.join(map(str, tiebreak))} maximal)"
+    return res.order[-1], line
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +716,8 @@ def kings_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
     """Orient toward the all-kings centers; the median-order feed is the witness."""
     a, gate = _require(gate_kings_stars, d)
     chosen = gate.roles
-    t = d.complete(orient_toward_centers(chosen))
-    res = exact_median_order(t, cap=cap)
-    f = res.order[-1]
-    trace = [f"median order {list(res.order)}"]
+    f, line = _center_feed(d, chosen, (), cap)
+    trace = [line]
     centers = {s.center for s in chosen}
     leaves = {leaf: s.center for s in chosen for leaf in s.leaves}
     if d.is_whole(f):
@@ -720,9 +737,8 @@ def kings_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
 
 def _tournament_feed(d: Digraph, gate: GateResult, cap: int) -> SnpCertificate:
     """The feed of an exact median order of a tournament."""
-    res = exact_median_order(d, cap=cap)
-    trace = [f"median order {list(res.order)}", "case tournament"]
-    return _certify(d, gate, [res.order[-1]], trace)
+    f, line = _center_feed(d, (), (), cap)
+    return _certify(d, gate, [f], [line, "case tournament"])
 
 
 def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificate:
@@ -735,12 +751,10 @@ def single_star_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
     dec = a.dec
     if dec.component_count() == 0:
         return _tournament_feed(d, gate, cap)
-    star = canonical_stars(dec)[0]
+    star = next(center_assignments(dec))[0]
     x = star.center
-    t = d.complete(orient_toward_centers((star,)))
-    res = exact_median_order(t, tiebreak=[x], cap=cap)
-    f = res.order[-1]
-    trace = [f"median order {list(res.order)} (index of {x} maximal)"]
+    f, line = _center_feed(d, (star,), (x,), cap)
+    trace = [line]
     if f == x:
         case = "center-feed"
     elif d.is_whole(f):
@@ -866,10 +880,8 @@ def two_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertificat
     a, gate = _require(gate_two_stars, d)
     x, a_set, y, b_set = next(_two_star_readings(d, a.dec))
     stars = (Star(x, a_set), Star(y, b_set))
-    t, notes = _orient_missing_edges(d, stars, a.dd)
-    res = exact_median_order(t, tiebreak=[x], cap=cap)
-    f = res.order[-1]
-    trace = notes + [f"median order {list(res.order)} (index of {x} maximal)"]
+    f, line = _center_feed(d, stars, (x,), cap)
+    trace = _orient_missing_edges(stars, a.dd) + [line]
     if d.is_whole(f):
         case = "whole-feed"
     elif f == x:
@@ -892,16 +904,13 @@ def two_stars_two_witnesses(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCert
         "y->A and B->x in some reading, but they do not",
     )
     trace = [f"roles x={x} A={list(a_set)} y={y} B={list(b_set)}"]
-    if len({x, y, *a_set, *b_set}) == d.n:
-        trace.append("K = V(D): center + sub-tournament witness")
-        rest = [v for v in range(d.n) if v not in (x, y)]
-        sub, mapping = d.induced(rest)
-        return _certify(
-            d, gate, (x, mapping[exact_median_order(sub, cap=cap).order[-1]]), trace
-        )
     inner = _interval_candidates(
         d, (x, y), (x,), lambda sub: [exact_median_order(sub, cap=cap).order[-1]]
     )
+    if len({x, y, *a_set, *b_set}) == d.n:
+        # K = V holds both centers: x, then the feed of D - {x, y}
+        trace.append("K = V(D): center + sub-tournament witness")
+        return _certify(d, gate, inner(tuple(range(d.n)), x)[:2], trace)
     return _two_witnesses(a, gate, trace, inner, cap)
 
 
@@ -923,12 +932,8 @@ def three_stars_witness(d: Digraph, cap: int = DEFAULT_EXACT_CAP) -> SnpCertific
     x, a_set, y, b_set, z, c_set = gate.roles
     stars = (Star(x, a_set), Star(y, b_set), Star(z, c_set))
     _three_star_shape_check(a.dd, stars)
-    t, notes = _orient_missing_edges(d, stars, a.dd)
-    res = exact_median_order(t, tiebreak=[x, y, z], cap=cap)
-    f = res.order[-1]
-    trace = notes + [
-        f"median order {list(res.order)} (index sum of {x},{y},{z} maximal)"
-    ]
+    f, line = _center_feed(d, stars, (x, y, z), cap)
+    trace = _orient_missing_edges(stars, a.dd) + [line]
     if d.is_whole(f):
         case = "whole-feed"
     elif f in (x, y, z):

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from seymour.dependency import Analysis, j_of
 from seymour.digraph import Digraph, Weighting, resolve_weights
-from seymour.errors import ConsistencyError
+from seymour.errors import ConsistencyError, NotDisjointStarsError
 from seymour.orders import SedimentationTrace, SedOutcome, default_sediment_budget
 from seymour.stars import MAX_READINGS, Star, StarDecomposition
 
@@ -66,6 +66,54 @@ def brute_star_forest(pairs: Sequence[tuple[int, int]]) -> tuple[set, set] | Non
                 }
                 return stars, matching
     return None
+
+
+def dfs_decompose(d: Digraph) -> StarDecomposition:
+    """The star decomposition by a depth-first walk of the missing graph.
+
+    Each component is collected from its least vertex on an adjacency
+    dict, sorted, and checked for the star's edge count and center; the
+    components come in order of least vertex.  Raises
+    NotDisjointStarsError with the same messages as stars.decompose.
+    """
+    adjacency: dict[int, list[int]] = {}
+    for u, v in d.missing_pairs():
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    seen: set[int] = set()
+    stars: list[Star] = []
+    matching: list[tuple[int, int]] = []
+    for root in sorted(adjacency):
+        if root in seen:
+            continue
+        component = []
+        stack = [root]
+        seen.add(root)
+        while stack:
+            x = stack.pop()
+            component.append(x)
+            for y in adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        component.sort()
+        edges_in = sum(len(adjacency[x]) for x in component) // 2
+        if edges_in != len(component) - 1:
+            raise NotDisjointStarsError(
+                f"missing-graph component {component} has {edges_in} edges; a star needs {len(component) - 1}"
+            )
+        if len(component) == 2:
+            matching.append((component[0], component[1]))
+            continue
+        center = next(
+            (x for x in component if len(adjacency[x]) == len(component) - 1), None
+        )
+        if center is None:
+            raise NotDisjointStarsError(
+                f"missing-graph component {component} is not a star"
+            )
+        stars.append(Star(center, tuple(x for x in component if x != center)))
+    return StarDecomposition(tuple(stars), tuple(matching))
 
 
 def brute_losing(d: Digraph):

@@ -716,7 +716,8 @@ def dp_instance(draw):
     in_masks = [d.in_mask(v) for v in range(n)]
     lower = None
     if draw(st.booleans()):
-        lower = orders._masks_forward_weight(in_masks, weights, draw(st.permutations(range(n))))
+        order = draw(st.permutations(range(n)))
+        lower = orders._eps_triple(in_masks, weights, orders._weight_classes(weights), order)[0]
     return in_masks, weights, tie_mask, lower
 
 
@@ -728,7 +729,8 @@ def test_bounded_dp_matches_the_whole_table(inst):
     assert orders._median_dp(in_masks, weights, tie_mask, lower) == expected
     greedy = orders._greedy_order(in_masks, weights)
     assert sorted(greedy) == list(range(len(in_masks)))
-    assert orders._masks_forward_weight(in_masks, weights, greedy) <= expected[1]
+    classes = orders._weight_classes(weights)
+    assert orders._eps_triple(in_masks, weights, classes, greedy)[0] <= expected[1]
     # no vertex gains by reinsertion, zero weights included
     d = Digraph(len(in_masks), [(u, v) for v, m in enumerate(in_masks) for u in mask_to_set(m)])
     assert satisfies_feedback(d, greedy, Weighting(weights)).ok
@@ -746,7 +748,8 @@ class _CountedMasks(list):
 
 def _bounded_dp(in_masks, weights, tie_mask=0):
     """_median_dp's result with the greedy lower bound, and its transitions."""
-    lower = orders._masks_forward_weight(in_masks, weights, orders._greedy_order(in_masks, weights))
+    greedy = orders._greedy_order(in_masks, weights)
+    lower = orders._eps_triple(in_masks, weights, orders._weight_classes(weights), greedy)[0]
     counted = _CountedMasks(in_masks)
     res = orders._median_dp(counted, weights, tie_mask, lower)
     return res, counted.reads
@@ -811,7 +814,8 @@ def test_bounded_dp_keeps_only_the_path_of_a_transitive_tournament(n, weighted):
     # call runs the whole table, and every other call keeps only the
     # prefixes of the one median order
     assert greedy == order == label
-    assert orders._masks_forward_weight(in_masks, weights, greedy) == value
+    classes = orders._weight_classes(weights)
+    assert orders._eps_triple(in_masks, weights, classes, greedy)[0] == value
     if n < orders._LARGE_DP_N and not weighted:
         assert transitions == n * 2 ** (n - 1)
     else:

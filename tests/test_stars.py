@@ -15,7 +15,6 @@ from seymour.forge import (
 )
 from seymour.stars import (
     Star,
-    canonical_stars,
     center_assignments,
     convenient_orientations,
     decompose,
@@ -24,7 +23,7 @@ from seymour.stars import (
     orient_toward_centers,
 )
 
-from oracles import brute_convenient, brute_missing_pairs, brute_star_forest
+from oracles import brute_convenient, brute_missing_pairs, brute_star_forest, dfs_decompose
 
 
 def test_decompose_c4x_is_matching():
@@ -71,6 +70,34 @@ def test_decompose_matches_the_star_forest_definition():
     assert verdicts[True] > 500 and verdicts[False] > 500
 
 
+def _decompose_outcome(decomposer, d: Digraph):
+    try:
+        dec = decomposer(d)
+    except NotDisjointStarsError as exc:
+        return "error", str(exc)
+    return dec.stars, dec.matching
+
+
+def test_decompose_matches_the_depth_first_reference():
+    """The union-find components give the depth-first walk's stars and
+    matching in the same order, and the same error message."""
+    rng = random.Random("decompose-vs-dfs")
+    digraphs = list(all_digraphs(4))
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        digraphs.append(random_digraph(n, rng.randrange(1 << 30), rng.uniform(0.8, 0.95)))
+    kinds = {"edge count": 0, "not a star": 0, "stars": 0}
+    for d in digraphs:
+        want = _decompose_outcome(dfs_decompose, d)
+        assert _decompose_outcome(decompose, d) == want
+        if want[0] != "error":
+            kinds["stars"] += 1
+        else:
+            kinds["not a star" if want[1].endswith("is not a star") else "edge count"] += 1
+    # both error messages and the decompositions are well represented
+    assert min(kinds.values()) > 300
+
+
 def test_decompose_star_plus_matching():
     t = random_tournament(7, 3)
     d = delete_disjoint_stars(t, [(0, (1, 2)), (4, (5,))])
@@ -97,7 +124,7 @@ def test_decompose_rejects_path_of_length_three():
 def test_orient_toward_centers_examples():
     assert orient_toward_centers((Star(0, (1, 2)),)) == ((1, 0), (2, 0))
     dec = decompose(fixture("C4X"))
-    assert orient_toward_centers(canonical_stars(dec)) == ((2, 0), (3, 1))
+    assert orient_toward_centers(next(center_assignments(dec))) == ((2, 0), (3, 1))
     assert orient_toward_centers(()) == ()
 
 
@@ -152,5 +179,5 @@ def test_decomposition_reassembles_missing_graph(seed, n):
     dec = decompose(d)
     edges = [tuple(sorted(e)) for s in dec.stars for e in s.edges] + list(dec.matching)
     assert sorted(edges) == list(d.missing_pairs())
-    t = d.complete(orient_toward_centers(canonical_stars(dec)))
+    t = d.complete(orient_toward_centers(next(center_assignments(dec))))
     assert t.is_tournament()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from seymour.dependency import Analysis
 from seymour.orders import exact_median_order, good_median_order
 from seymour.digraph import Digraph, Weighting
-from seymour.errors import ConsistencyError, HypothesisFailedError
+from seymour.errors import ConsistencyError, HypothesisFailedError, VertexRangeError
 from seymour.forge import (
     InstanceSpec,
     all_digraphs,
@@ -74,6 +74,15 @@ def test_king_examples():
 def test_king_requires_tournament():
     with pytest.raises(ValueError):
         is_king(fixture("C4X"), 0)
+
+
+@pytest.mark.parametrize("name", ["C3", "C4X"])
+def test_king_refuses_a_vertex_out_of_range(name):
+    # the vertex is checked first, before the tournament test (C4X is none)
+    d = fixture(name)
+    for v in (-1, d.n, d.n + 2):
+        with pytest.raises(VertexRangeError):
+            is_king(d, v)
 
 
 @given(st.integers(0, 400), st.integers(1, 10))
